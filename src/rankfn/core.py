@@ -173,10 +173,20 @@ class MatrixClass:
 def partition_to_rank(p: Partition) -> RankFunction:
     """Rank function of the nilpotent class with Jordan partition p.
 
-    A block of size k contributes max(k - m, 0) to the rank of the m-th power.
+    A block of size k contributes max(k - m, 0) to the rank of the m-th power,
+    so r(m) = r(m + 1) + #{parts > m}: running counts from the top give the
+    whole window in O(n + parts).
     """
     n = p.n
-    return RankFunction(tuple(sum(k - m for k in p.parts if k > m) for m in range(n + 1)))
+    sizes = [0] * (n + 2)
+    for k in p.parts:
+        sizes[k] += 1
+    values = [0] * (n + 1)
+    above = 0  # parts larger than m
+    for m in range(n - 1, -1, -1):
+        above += sizes[m + 1]
+        values[m] = values[m + 1] + above
+    return RankFunction(tuple(values))
 
 
 def class_rank(c: MatrixClass) -> RankFunction:

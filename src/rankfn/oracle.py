@@ -3,7 +3,9 @@
 Builds literal block matrices for a class, conjugates them by random
 integer matrices, and recomputes rank functions by fraction-free
 elimination.  Whatever the combinatorial layer claims about ranks can be
-replayed here on actual matrices, with no floating point anywhere.
+replayed here on actual matrices, with no floating point anywhere.  Inside
+the engine all arithmetic is on integers: denominators are cleared once on
+input, and Fractions are built only for the entries of a result.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .core import MatrixClass, Partition, class_rank, partitions_of
+from .core import MatrixClass, Partition, class_rank, partition_count, partitions_of
+from .equations import BudgetExceeded
 
 __all__ = [
     "DEFAULT_SEED",
@@ -28,6 +32,11 @@ __all__ = [
 
 DEFAULT_SEED = 0
 _ENTRY_RANGE = 3  # random integer entries are drawn from -3..3
+
+# verify_class_ranks refuses larger requests before any work: the biggest
+# matrix it builds, and the number of rank functions it recomputes.
+ORACLE_MAX_SIZE = 12
+ORACLE_MAX_CHECKS = 20_000
 
 
 @dataclass(frozen=True)
@@ -89,29 +98,43 @@ def _int_rank(rows: list[list[int]]) -> int:
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _frac_matmul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _adjugate(u: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj(U), det(U)) of a nonsingular integer matrix, by fraction-free
+    Gauss-Jordan elimination on [U | I] (Bareiss 1968).
 
-
-def _frac_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
+    Every entry stays a minor of the augmented matrix, so each division by
+    the previous pivot is exact.  The last pivot p is det(U) up to the sign
+    of the row swaps; the left block ends as p*I and the right as p*U^-1.
+    """
+    n = len(u)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(u)]
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        top = aug[k]
+        pivot = top[k]
         for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+            if i != k:
+                factor = aug[i][k]
+                aug[i] = [(pivot * x - factor * y) // prev for x, y in zip(aug[i], top)]
+        prev = pivot
+    return [[sign * x for x in row[n:]] for row in aug], sign * prev
+
+
+def _cleared(m: ExactMatrix) -> tuple[list[list[int]], int]:
+    """(d*M, d) for d the lcm of the denominators of M: an integer matrix
+    with the same ranks, and the scale that maps it back."""
+    d = lcm(*(e.denominator for row in m.entries for e in row))
+    return [[e.numerator * (d // e.denominator) for e in row] for row in m.entries], d
 
 
 def _random_invertible(rng: random.Random, n: int) -> list[list[int]]:
@@ -142,14 +165,8 @@ def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMa
 
 
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank over the rationals (denominators cleared row by row first)."""
-    if m.n == 0:
-        return 0
-    rows = []
-    for row in m.entries:
-        d = lcm(*(e.denominator for e in row))
-        rows.append([int(e * d) for e in row])
-    return _int_rank(rows)
+    """Rank over the rationals (denominators cleared first)."""
+    return _int_rank(_cleared(m)[0])
 
 
 def matrix_rank_function(m: ExactMatrix) -> list[int]:
@@ -159,11 +176,7 @@ def matrix_rank_function(m: ExactMatrix) -> list[int]:
     integer one once and powered there.
     """
     n = m.n
-    denom = 1
-    for row in m.entries:
-        for e in row:
-            denom = lcm(denom, e.denominator)
-    base = [[int(e * denom) for e in row] for row in m.entries]
+    base = _cleared(m)[0]
     ranks = [n]
     power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(n):
@@ -176,14 +189,18 @@ def matrix_rank_function(m: ExactMatrix) -> list[int]:
 
 
 def random_conjugate(m: ExactMatrix, seed: int = DEFAULT_SEED) -> ExactMatrix:
-    """U^-1 M U for a seeded random integer U with nonzero determinant."""
-    if m.n == 0:
-        return m
+    """U^-1 M U for a seeded random integer U with nonzero determinant.
+
+    Computed on integers as adj(U) (dM) U = det(U) d U^-1 M U, with d
+    clearing the denominators of M; only the result is divided back.
+    """
     u = _random_invertible(random.Random(seed), m.n)
-    u_frac = [[Fraction(v) for v in row] for row in u]
-    u_inv = _frac_inverse(u_frac)
-    product = _frac_matmul(_frac_matmul(u_inv, [list(r) for r in m.entries]), u_frac)
-    return ExactMatrix.from_rows(tuple(tuple(row) for row in product))
+    adj, det = _adjugate(u)
+    b, d = _cleared(m)
+    product = _int_matmul(_int_matmul(adj, b), u)
+    scale = det * d
+    return ExactMatrix(m.n, tuple(
+        tuple(Fraction(x, scale) for x in row) for row in product))
 
 
 def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -202,7 +219,22 @@ def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,
     stable rank up to q_max; when ``seeds`` is positive, each case is also
     rechecked under that many random conjugations.  Returns a summary dict
     with the case/check/discrepancy counts and the base seed for replay.
+
+    Raises ValueError for max_n < 1, q_max < 0 or seeds < 0, and
+    BudgetExceeded when max_n + q_max exceeds ORACLE_MAX_SIZE or the planned
+    checks exceed ORACLE_MAX_CHECKS; all before any matrix is built.
     """
+    if max_n < 1 or q_max < 0 or seeds < 0:
+        raise ValueError(
+            f"need max_n >= 1, q_max >= 0, seeds >= 0: got {max_n}, {q_max}, {seeds}")
+    if max_n + q_max > ORACLE_MAX_SIZE:
+        raise BudgetExceeded(
+            f"matrix size max_n + q_max = {max_n + q_max} exceeds the "
+            f"{ORACLE_MAX_SIZE} cap")
+    planned = (q_max + 1) * sum(partition_count(n) for n in range(1, max_n + 1)) * (seeds + 1)
+    if planned > ORACLE_MAX_CHECKS:
+        raise BudgetExceeded(
+            f"{planned} planned checks exceed the {ORACLE_MAX_CHECKS} cap")
     cases = checks = bad = 0
     for n in range(1, max_n + 1):
         for p in partitions_of(n):

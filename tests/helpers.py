@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they are used to check: the
 realizability set goes through explicit class enumeration, the partition
-counter uses the restricted-parts recursion, and the rank routine is a
-plain Fraction elimination with no fraction-free tricks.
+counter uses the restricted-parts recursion, and the rank, determinant and
+inverse routines are plain Fraction eliminations with no fraction-free
+tricks.
 """
 
 from fractions import Fraction
@@ -54,6 +55,47 @@ def frac_rank(rows):
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def frac_det(rows):
+    """Determinant by textbook Fraction elimination (product of the pivots)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, len(rows)):
+            factor = rows[i][col] / rows[col][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    return det
+
+
+def frac_inverse(rows):
+    """Inverse of a nonsingular matrix by textbook Gauss-Jordan over Fractions."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def frac_matmul(a, b):
+    """Plain triple-loop product."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
 
 
 def decreasing_windows(n):

@@ -218,6 +218,22 @@ def test_budget_errors(capsys):
     assert code == 1 and json.loads(err)["error"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--max-n", "-3"], "ValueError"),
+    (["--max-n", "0"], "ValueError"),
+    (["--q-max", "-1"], "ValueError"),
+    (["--seeds", "-5"], "ValueError"),
+    (["--max-n", "13", "--q-max", "0", "--seeds", "0"], "BudgetExceeded"),
+    (["--max-n", "1000000000"], "BudgetExceeded"),
+    (["--max-n", "7", "--seeds", "1000"], "BudgetExceeded"),
+])
+def test_oracle_verify_refuses_before_work(capsys, flags, error):
+    code, out, err = run(capsys, "oracle-verify", *flags)
+    assert code == 1 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+
+
 def test_usage_errors_exit_2():
     for argv in [[], ["frobnicate"], ["rank"], ["solve", "--n", "4"]]:
         proc = subprocess.run(

@@ -65,6 +65,14 @@ def test_partition_to_rank_examples():
     assert partition_to_rank(Partition(())).values == (0,)
 
 
+def test_partition_to_rank_matches_plain_formula():
+    """Running counts agree with r(m) = sum over parts k of max(k - m, 0)."""
+    for n in range(13):
+        for p in partitions_of(n):
+            plain = tuple(sum(max(k - m, 0) for k in p.parts) for m in range(n + 1))
+            assert partition_to_rank(p).values == plain, p
+
+
 def test_rank_to_partition_examples():
     assert rank_to_partition(RankFunction((10, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0))) == \
         Partition((3, 2, 2, 2, 1))

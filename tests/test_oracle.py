@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from rankfn import (
     ConvexTable,
@@ -21,9 +23,53 @@ from rankfn import (
     verify_class_ranks,
 )
 
-from helpers import frac_rank
+from rankfn.oracle import _adjugate, _random_invertible
+
+from helpers import frac_det, frac_inverse, frac_matmul, frac_rank
 
 F = Fraction
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices; the top-left z x z block is zeroed, so for
+    z > 0 the first pivot is zero and elimination has to swap rows."""
+    n = draw(st.integers(1, 8))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n)]
+    z = draw(st.integers(0, n - 1))
+    for i in range(z):
+        rows[i][:z] = [0] * z
+    return rows
+
+
+@given(integer_matrices())
+def test_adjugate_is_det_times_inverse(rows):
+    det = frac_det(rows)
+    assume(det != 0)
+    adj, got = _adjugate(rows)
+    n = len(rows)
+    assert got == det
+    assert frac_matmul(rows, adj) == [[det * (i == j) for j in range(n)] for i in range(n)]
+    assert adj == [[det * x for x in row] for row in frac_inverse(rows)]
+
+
+def test_adjugate_swaps_and_singular_input():
+    flip = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]  # zero leading pivot, odd permutation
+    assert _adjugate(flip) == ([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], -1)
+    with pytest.raises(ValueError):
+        _adjugate([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_random_conjugate_is_textbook_conjugate(n):
+    rng = random.Random(n)
+    for seed in range(5):
+        m = [[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+             for _ in range(n)]
+        u = _random_invertible(random.Random(seed), n)
+        want = frac_matmul(frac_matmul(frac_inverse(u), m), u)
+        got = random_conjugate(ExactMatrix(n, tuple(map(tuple, m))), seed=seed)
+        assert got.entries == tuple(map(tuple, want))
 
 
 def test_jordan_matrix_literal_entries():
@@ -160,3 +206,4 @@ def test_verify_class_ranks_summary():
     assert out2["cases"] == 6
     assert out2["checks"] == 18
     assert out2["ok"] and out2["seed"] == 123
+
