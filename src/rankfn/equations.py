@@ -340,6 +340,8 @@ def search_general(spec: EquationSpec, budget: int = 10**6, workers: int = 1) ->
     lexicographic on the concatenated partitions, independent of the worker
     count.
     """
+    if workers < 1:
+        raise ValueError(f"need at least one worker: workers = {workers}")
     count = partition_count(spec.n)
     total = count ** (spec.k + 1)
     if total > budget:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import Sequence
 
 from .core import (
@@ -157,6 +158,8 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6, workers: 
         raise ValueError(f"matrix size must be at least 2: n = {n}")
     if k < 1:
         raise ValueError(f"need at least one left-hand coordinate: k = {k}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker: workers = {workers}")
     if len(f.values) < n + 1:
         raise InvalidTable(f"f table must cover 0..{n}")
     cand = [p for p in partitions_of(n) if nontrivial_blocks(p)]
@@ -204,13 +207,29 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6, workers: 
     return SolSet(n=n, k=k, f=f, tuples=tuple(sols), rank_matrices=tuple(matrices))
 
 
+def _flat(rm: RankMatrix) -> tuple[int, ...]:
+    """The matrix's entries row by row, for entrywise comparison."""
+    return tuple(v for row in rm.rows for v in row.values)
+
+
 def maximal_elements(s: SolSet) -> list[RankMatrix]:
-    """Rank matrices not strictly below any other one in the set."""
-    rms = s.rank_matrices
-    return [
-        a for a in rms
-        if not any(b != a and rm_leq(a, b) for b in rms)
-    ]
+    """Rank matrices not strictly below any other one in the set, in set order.
+
+    Sweeps the matrices by decreasing entry sum and keeps each one that no
+    maximum found so far dominates (Kung, Luccio and Preparata, J. ACM 1975).
+    The matrices are distinct, so anything strictly above a matrix has a
+    larger entry sum and is swept first; a non-maximal matrix therefore
+    always meets a kept maximum above it.
+    """
+    flats = [_flat(rm) for rm in s.rank_matrices]
+    kept: list[tuple[int, ...]] = []
+    is_max = [False] * len(flats)
+    for i in sorted(range(len(flats)), key=lambda i: -sum(flats[i])):
+        a = flats[i]
+        if not any(all(map(le, a, top)) for top in kept):
+            kept.append(a)
+            is_max[i] = True
+    return [rm for rm, keep in zip(s.rank_matrices, is_max) if keep]
 
 
 @dataclass(frozen=True)
@@ -231,11 +250,10 @@ class Component:
 
 
 def is_irreducible(s: SolSet) -> bool:
-    """A closure is irreducible iff some solution dominates all others."""
-    return any(
-        all(rm_leq(b, a) for b in s.rank_matrices)
-        for a in s.rank_matrices
-    )
+    """A closure is irreducible iff some solution dominates all others, that
+    is, iff the entrywise maximum of the rank matrices is one of them."""
+    flats = [_flat(rm) for rm in s.rank_matrices]
+    return bool(flats) and tuple(map(max, zip(*flats))) in flats
 
 
 def irreducible_components(s: SolSet) -> list[Component]:
@@ -245,7 +263,7 @@ def irreducible_components(s: SolSet) -> list[Component]:
         dim = component_dimension(rm)
         comps.append(Component(max_rm=rm, dimension=dim, capacity=Fraction(dim, 2)))
     # single component and existence of a greatest element are the same thing;
-    # the latter is computed independently above, so cross-check here
+    # is_irreducible finds the latter by another route, so cross-check here
     assert (len(comps) == 1) == is_irreducible(s)
     return comps
 
@@ -276,10 +294,7 @@ def orbit_capacity(p: Partition) -> Fraction:
 def sol_capacity(s: SolSet):
     """Largest linear subspace dimension inside the solution-set closure:
     the best component capacity, or -inf for an empty set."""
-    comps = irreducible_components(s)
-    if not comps:
-        return float("-inf")
-    return max(c.capacity for c in comps)
+    return max((c.capacity for c in irreducible_components(s)), default=float("-inf"))
 
 
 @dataclass(frozen=True)
@@ -317,6 +332,30 @@ def dominating_tuple(s: SolSet) -> DominatingTuple:
     return DominatingTuple(partitions=tuple(parts), is_full_block=tuple(flags))
 
 
+def _covers(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Partitions covering lam in the dominance order.
+
+    By Brylawski (Discrete Math. 6, 1973), mu covers lam iff mu moves one
+    box of lam from row j up to row i < j, where j = i + 1 or lam_i = lam_j,
+    and mu is still a partition.
+    """
+    out = []
+    for i in range(len(lam)):
+        if i and lam[i - 1] == lam[i]:
+            continue  # row i cannot grow past row i - 1
+        for j in range(i + 1, len(lam)):
+            if j > i + 1 and lam[j] != lam[i]:
+                break  # lam is decreasing: no later row equals lam_i either
+            below = lam[j + 1] if j + 1 < len(lam) else 0
+            if lam[j] - 1 < below:
+                continue  # row j cannot shrink below row j + 1
+            mu = list(lam)
+            mu[i] += 1
+            mu[j] -= 1
+            out.append(tuple(mu[:-1] if mu[-1] == 0 else mu))
+    return out
+
+
 def hasse_dot(n: int) -> str:
     """DOT digraph of the dominance order on partitions of n, reduced to its
     covering edges; an edge a -> b means b covers a (draw with rankdir=BT).
@@ -327,33 +366,12 @@ def hasse_dot(n: int) -> str:
         raise BudgetExceeded(
             f"p({n}) = {partition_count(n)} nodes exceed the n <= {HASSE_MAX_N} cap")
     parts = list(partitions_of(n))
-    ranks = [partition_to_rank(p).values for p in parts]
-    m = len(parts)
-    up = []
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if i != j and all(x <= y for x, y in zip(ranks[i], ranks[j])):
-                mask |= 1 << j
-        up.append(mask)
+    index = {p.parts: i for i, p in enumerate(parts)}
     lines = [f"digraph dominance_{n} {{", "  rankdir=BT;"]
     for p in parts:
         lines.append(f'  "{p}";')
-    for i in range(m):
-        two_step = 0
-        rest = up[i]
-        j = 0
-        while rest:
-            if rest & 1:
-                two_step |= up[j]
-            rest >>= 1
-            j += 1
-        covers = up[i] & ~two_step
-        j = 0
-        while covers:
-            if covers & 1:
-                lines.append(f'  "{parts[i]}" -> "{parts[j]}";')
-            covers >>= 1
-            j += 1
+    for p in parts:
+        for j in sorted(index[mu] for mu in _covers(p.parts)):
+            lines.append(f'  "{p}" -> "{parts[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

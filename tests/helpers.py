@@ -4,7 +4,7 @@ These deliberately avoid the code paths they are used to check: the
 realizability set goes through explicit class enumeration, the partition
 counter uses the restricted-parts recursion, and the rank, determinant and
 inverse routines are plain Fraction eliminations with no fraction-free
-tricks.
+tricks.  The maxima filters compare every pair of matrices entry by entry.
 """
 
 from fractions import Fraction
@@ -96,6 +96,22 @@ def frac_matmul(a, b):
     """Plain triple-loop product."""
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
              for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+def _entrywise_leq(a, b):
+    """a <= b entry by entry, for matrices given as lists of rows."""
+    return all(x <= y for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
+
+
+def all_pairs_maxima(matrices):
+    """Indices of the matrices not strictly below another one, in input order."""
+    return [i for i, a in enumerate(matrices)
+            if not any(b != a and _entrywise_leq(a, b) for b in matrices)]
+
+
+def has_greatest(matrices):
+    """Does one matrix lie entrywise above every other one?"""
+    return any(all(_entrywise_leq(b, a) for b in matrices) for a in matrices)
 
 
 def decreasing_windows(n):

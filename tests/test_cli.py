@@ -98,6 +98,16 @@ def test_components_verb_frozen(capsys):
     assert doc["irreducible"] is False
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_components_agrees_with_capacity_verb(n, capsys):
+    for k in (1, 2, 3):
+        for f in ("id", "square"):
+            flags = ["--n", str(n), "--k", str(k), "--f", f]
+            doc = run_json(capsys, "components", *flags)
+            assert doc["capacity"] == run_json(capsys, "capacity", *flags)["capacity"]
+            assert doc["irreducible"] == (doc["count"] == 1)
+
+
 def test_capacity_verb(capsys):
     assert run_json(capsys, "capacity", "--n", "4", "--k", "2") == {"capacity": "10"}
     assert run_json(capsys, "capacity", "--n", "2", "--k", "2") == {"capacity": "-inf"}
@@ -232,6 +242,19 @@ def test_oracle_verify_refuses_before_work(capsys, flags, error):
     assert code == 1 and out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "6", "--k", "2", "--workers", "0"],
+    ["enumerate", "--n", "6", "--k", "2", "--workers", "-3"],
+    ["search", "--n", "5", "--k", "2", "--workers", "0"],
+    ["search", "--n", "5", "--k", "2", "--workers", "-5"],
+])
+def test_workers_below_one_are_refused(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_usage_errors_exit_2():

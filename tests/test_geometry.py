@@ -1,8 +1,10 @@
 """Rank matrices, solution-set enumeration, components, capacity, Hasse export."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from helpers import all_pairs_maxima, has_greatest
 
 from rankfn import (
     BudgetExceeded,
@@ -33,6 +35,7 @@ from rankfn import (
     rank_to_partition,
     rm_leq,
     same_orbit_tuple,
+    SolSet,
     sol_capacity,
     solve_nilpotent,
 )
@@ -245,6 +248,37 @@ def test_maximal_elements_n5():
             assert a == b or not rm_leq(a, b)
 
 
+def sweep_cases():
+    """Enumerated sets for n = 4..9, k = 1..3, f = id and square, each with a
+    few seeded random subsets of its rank matrices (the empty one included)."""
+    rng = random.Random(4)
+    for n in range(4, 10):
+        for k in range(1, 4):
+            for f in (ConvexTable.identity(n), ConvexTable.squares(n)):
+                s = enumerate_sol(n, k, f)
+                yield s
+                rms = list(s.rank_matrices)
+                for size in (0, min(1, len(rms)), len(rms) // 2):
+                    sub = tuple(sorted(rng.sample(rms, size), key=rms.index))
+                    yield SolSet(n=n, k=k, f=f, tuples=(), rank_matrices=sub)
+
+
+def test_maximal_elements_equals_all_pairs_filter():
+    for s in sweep_cases():
+        plain = [rm.to_json() for rm in s.rank_matrices]
+        expected = [s.rank_matrices[i] for i in all_pairs_maxima(plain)]
+        assert maximal_elements(s) == expected
+
+
+def test_is_irreducible_equals_some_matrix_dominating_all():
+    seen = set()
+    for s in sweep_cases():
+        got = is_irreducible(s)
+        assert got == has_greatest([rm.to_json() for rm in s.rank_matrices])
+        seen.add(got)
+    assert seen == {True, False}
+
+
 def test_irreducible_components_frozen_small_cases():
     comps4 = irreducible_components(enumerate_sol(4, 2, ConvexTable.identity(4)))
     assert [c.dimension for c in comps4] == [20]
@@ -355,8 +389,8 @@ def test_hasse_node_count_matches_partition_count():
     assert len(nodes) == 22
 
 
-def test_hasse_edges_are_exactly_the_covering_relations():
-    n = 6
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hasse_edges_are_exactly_the_covering_relations(n):
     nodes, edges = parse_dot(hasse_dot(n))
     ps = list(partitions_of(n))
     below = {
@@ -369,7 +403,8 @@ def test_hasse_edges_are_exactly_the_covering_relations():
         if not any((a, c) in below and (c, b) in below for c in nodes)
     }
     assert edges == covers
-    assert ("4,1,1", "3,3") not in below and ("3,3", "4,1,1") not in below
+    if n == 6:
+        assert ("4,1,1", "3,3") not in below and ("3,3", "4,1,1") not in below
 
 
 def test_hasse_budget_and_bounds():
