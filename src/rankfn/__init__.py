@@ -43,6 +43,7 @@ from .geometry import (
     RankMatrix,
     SolSet,
     component_dimension,
+    components_capacity,
     dominating_tuple,
     enumerate_sol,
     hasse_dot,

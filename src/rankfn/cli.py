@@ -175,11 +175,10 @@ def _cmd_components(args) -> str:
     f = _parse_table(args.f, args.n, convex=True)
     s = geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
     comps = geometry.irreducible_components(s)
-    capacity = max((c.capacity for c in comps), default=float("-inf"))
     return _dumps({
         "count": len(comps),
         "dimensions": [c.dimension for c in comps],
-        "capacity": _capacity_str(capacity),
+        "capacity": _capacity_str(geometry.components_capacity(comps)),
         "irreducible": len(comps) == 1,
         "components": [c.to_json() for c in comps],
     })

@@ -54,6 +54,7 @@ __all__ = [
     "orbit_dimension",
     "component_dimension",
     "orbit_capacity",
+    "components_capacity",
     "sol_capacity",
     "dominating_tuple",
     "hasse_dot",
@@ -91,11 +92,21 @@ def rank_matrix(sol: SolutionTuple) -> RankMatrix:
     return RankMatrix(tuple(class_rank(c) for c in (*sol.lhs, sol.rhs)))
 
 
+def _flat(rm: RankMatrix) -> tuple[int, ...]:
+    """The matrix's entries row by row, for entrywise comparison."""
+    return tuple(v for row in rm.rows for v in row.values)
+
+
+def _flat_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Entrywise order on flattened rank matrices of one shape."""
+    return all(map(le, a, b))
+
+
 def rm_leq(a: RankMatrix, b: RankMatrix) -> bool:
     """Entrywise order: a's tuple degenerates into b's closure."""
     if len(a.rows) != len(b.rows) or a.n != b.n:
         raise ValueError("rank matrices must have matching shape")
-    return all(dominates(x, y) for x, y in zip(a.rows, b.rows))
+    return _flat_leq(_flat(a), _flat(b))
 
 
 def in_product_closure(lhs: Sequence[Partition], rhs: Sequence[Partition]) -> bool:
@@ -207,11 +218,6 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6, workers: 
     return SolSet(n=n, k=k, f=f, tuples=tuple(sols), rank_matrices=tuple(matrices))
 
 
-def _flat(rm: RankMatrix) -> tuple[int, ...]:
-    """The matrix's entries row by row, for entrywise comparison."""
-    return tuple(v for row in rm.rows for v in row.values)
-
-
 def maximal_elements(s: SolSet) -> list[RankMatrix]:
     """Rank matrices not strictly below any other one in the set, in set order.
 
@@ -226,7 +232,7 @@ def maximal_elements(s: SolSet) -> list[RankMatrix]:
     is_max = [False] * len(flats)
     for i in sorted(range(len(flats)), key=lambda i: -sum(flats[i])):
         a = flats[i]
-        if not any(all(map(le, a, top)) for top in kept):
+        if not any(_flat_leq(a, top) for top in kept):
             kept.append(a)
             is_max[i] = True
     return [rm for rm, keep in zip(s.rank_matrices, is_max) if keep]
@@ -250,10 +256,16 @@ class Component:
 
 
 def is_irreducible(s: SolSet) -> bool:
-    """A closure is irreducible iff some solution dominates all others, that
-    is, iff the entrywise maximum of the rank matrices is one of them."""
-    flats = [_flat(rm) for rm in s.rank_matrices]
-    return bool(flats) and tuple(map(max, zip(*flats))) in flats
+    """A closure is irreducible iff some solution dominates all others.
+
+    The matrices are distinct, so such a greatest matrix has the largest
+    entry sum; only one matrix of largest sum is checked against the rest.
+    """
+    rms = s.rank_matrices
+    if not rms:
+        return False
+    top = max(rms, key=lambda rm: sum(_flat(rm)))
+    return all(rm_leq(rm, top) for rm in rms)
 
 
 def irreducible_components(s: SolSet) -> list[Component]:
@@ -291,10 +303,15 @@ def orbit_capacity(p: Partition) -> Fraction:
     return Fraction(orbit_dimension(p), 2)
 
 
+def components_capacity(comps: Sequence[Component]):
+    """The best capacity among components, or -inf when there are none."""
+    return max((c.capacity for c in comps), default=float("-inf"))
+
+
 def sol_capacity(s: SolSet):
     """Largest linear subspace dimension inside the solution-set closure:
     the best component capacity, or -inf for an empty set."""
-    return max((c.capacity for c in irreducible_components(s)), default=float("-inf"))
+    return components_capacity(irreducible_components(s))
 
 
 @dataclass(frozen=True)

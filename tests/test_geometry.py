@@ -18,6 +18,7 @@ from rankfn import (
     check_solution,
     class_rank,
     component_dimension,
+    components_capacity,
     dominates,
     dominating_tuple,
     enumerate_sol,
@@ -336,6 +337,14 @@ def test_orbit_capacity_examples():
 def test_sol_capacity_frozen_small_cases():
     assert sol_capacity(enumerate_sol(4, 2, ConvexTable.identity(4))) == Fraction(10)
     assert sol_capacity(enumerate_sol(5, 2, ConvexTable.identity(5))) == Fraction(19)
+
+
+def test_capacity_is_the_best_of_unequal_components():
+    s = enumerate_sol(9, 2, ConvexTable.identity(9))
+    comps = irreducible_components(s)
+    assert sorted({c.dimension for c in comps}) == [150, 156, 158]
+    assert components_capacity(comps) == sol_capacity(s) == Fraction(79)
+    assert components_capacity([]) == float("-inf")
 
 
 # ---------------------------------------------------------------- bounds
