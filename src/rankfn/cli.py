@@ -96,7 +96,12 @@ def _capacity_str(c) -> str:
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else oracle.DEFAULT_SEED
+    if not env:
+        return oracle.DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"${SEED_ENV} must be an integer: {env!r}") from None
 
 
 def _dumps(obj) -> str:
@@ -201,8 +206,9 @@ def _cmd_hasse(args) -> str:
 
 
 def _cmd_oracle_verify(args) -> str:
+    seed = _default_seed() if args.seed is None else args.seed
     report = oracle.verify_class_ranks(
-        args.max_n, q_max=args.q_max, seeds=args.seeds, seed=args.seed)
+        args.max_n, q_max=args.q_max, seeds=args.seeds, seed=seed)
     return _dumps(report)
 
 
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=int, default=2)
     p.add_argument("--seeds", type=int, default=5,
                    help="random conjugations per case")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int,
                    help=f"base seed (default from ${SEED_ENV} if set)")
 
     return parser

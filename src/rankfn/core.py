@@ -11,7 +11,6 @@ partition, stable rank q) and has rank function r_nilp(m) + q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -256,18 +255,24 @@ def _partition_tuples(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+_PARTITION_COUNTS = [1]  # p(0), p(1), ...: grown bottom-up and kept
+
+
 def partition_count(n: int) -> int:
-    """p(n) via Euler's pentagonal-number recurrence."""
+    """p(n) via Euler's pentagonal-number recurrence.
+
+    The table is filled bottom-up, so no call recurses, however large n.
+    """
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total, j = 0, 1
-    while j * (3 * j - 1) // 2 <= n:
-        sign = -1 if j % 2 == 0 else 1
-        total += sign * partition_count(n - j * (3 * j - 1) // 2)
-        if j * (3 * j + 1) // 2 <= n:
-            total += sign * partition_count(n - j * (3 * j + 1) // 2)
-        j += 1
-    return total
+    p = _PARTITION_COUNTS
+    for m in range(len(p), n + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = -1 if j % 2 == 0 else 1
+            total += sign * p[m - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= m:
+                total += sign * p[m - j * (3 * j + 1) // 2]
+            j += 1
+        p.append(total)
+    return p[n]

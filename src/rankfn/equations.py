@@ -342,8 +342,13 @@ def search_general(spec: EquationSpec, budget: int = 10**6, workers: int = 1) ->
     """
     if workers < 1:
         raise ValueError(f"need at least one worker: workers = {workers}")
-    count = partition_count(spec.n)
-    total = count ** (spec.k + 1)
+    # p(n) >= n >= 2, so p(n)^(k+1) > budget as soon as n^(k+1) > budget,
+    # which holds without forming the power once 2^(k+1) > budget
+    if spec.k + 1 >= budget.bit_length() or spec.n ** (spec.k + 1) > budget:
+        raise BudgetExceeded(
+            f"p({spec.n})^{spec.k + 1} >= {spec.n}^{spec.k + 1} candidate tuples "
+            f"exceed budget {budget}")
+    total = partition_count(spec.n) ** (spec.k + 1)
     if total > budget:
         raise BudgetExceeded(
             f"p({spec.n})^{spec.k + 1} = {total} candidate tuples exceed budget {budget}")

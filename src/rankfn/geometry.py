@@ -25,7 +25,6 @@ from .core import (
     conjugate,
     dominates,
     nontrivial_blocks,
-    partition_count,
     partition_to_rank,
     partitions_of,
     rank_to_partition,
@@ -381,7 +380,7 @@ def hasse_dot(n: int) -> str:
         raise ValueError(f"need n >= 1: {n}")
     if n > HASSE_MAX_N:
         raise BudgetExceeded(
-            f"p({n}) = {partition_count(n)} nodes exceed the n <= {HASSE_MAX_N} cap")
+            f"the partitions of n = {n} exceed the n <= {HASSE_MAX_N} cap")
     parts = list(partitions_of(n))
     index = {p.parts: i for i, p in enumerate(parts)}
     lines = [f"digraph dominance_{n} {{", "  rankdir=BT;"]

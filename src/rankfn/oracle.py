@@ -1,11 +1,12 @@
 """Exact matrix engine over the rationals.
 
 Builds literal block matrices for a class, conjugates them by random
-integer matrices, and recomputes rank functions by fraction-free
-elimination.  Whatever the combinatorial layer claims about ranks can be
-replayed here on actual matrices, with no floating point anywhere.  Inside
-the engine all arithmetic is on integers: denominators are cleared once on
-input, and Fractions are built only for the entries of a result.
+integer matrices, and recomputes rank functions, with no floating point
+anywhere, so whatever the combinatorial layer claims about ranks can be
+replayed on actual matrices.  A matrix is stored once, as integer rows over
+one denominator; a single fraction-free Gauss-Jordan elimination gives
+ranks, bases and adjugates, and the ranks of powers come from the chain of
+row spaces rowspace(M^j), never from a literal power.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .core import MatrixClass, Partition, class_rank, partition_count, partitions_of
@@ -41,16 +42,33 @@ ORACLE_MAX_CHECKS = 20_000
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Square matrix with Fraction entries."""
+    """Square rational matrix stored once: integer ``rows`` over one
+    denominator ``den``.  Rational entries (ints, Fractions, Fraction
+    strings) are accepted and brought to lowest terms, ``den > 0`` and
+    gcd(rows, den) == 1, so equal matrices compare and hash equal."""
 
     n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
+        rows = [[e if isinstance(e, int) else Fraction(e) for e in row] for row in self.rows]
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError(f"entries must form an {self.n} x {self.n} matrix")
-        object.__setattr__(self, "entries", rows)
+        if not self.den:
+            raise ValueError("denominator must be nonzero")
+        scale = lcm(*(e.denominator for row in rows for e in row))
+        ints = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
+        den = self.den * scale
+        g = gcd(den, *(x for row in ints for x in row))
+        if den < 0:
+            g = -g
+        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in ints))
+        object.__setattr__(self, "den", den // g)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
@@ -59,9 +77,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i in range(n)))
+        return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "entries": [[str(e) for e in row] for row in self.entries]}
@@ -72,29 +88,37 @@ class ExactMatrix:
             tuple(Fraction(s) for s in row) for row in obj["entries"]))
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix, by one-step fraction-free elimination."""
-    m = [row[:] for row in rows]
+def _reduce(rows) -> tuple[list[list[int]], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer
+    matrix A, skipping pivotless columns: (R, p, sign) with R the nonzero rows
+    of p * rref(A), p the last pivot and sign the parity of the row swaps.
+    Every entry stays a minor of A, so each division by a pivot is exact."""
+    m = [list(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     for col in range(nc):
         piv = next((i for i in range(rank, nr) if m[i][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, nr):
-            row = m[i]
-            factor = row[col]
-            for j in range(col + 1, nc):
-                row[j] = (pivot * row[j] - factor * m[rank][j]) // prev
-            row[col] = 0
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[col]
+        for i in range(nr):
+            if i != rank:
+                factor = m[i][col]
+                m[i] = [(pivot * x - factor * y) // prev for x, y in zip(m[i], top)]
         prev = pivot
         rank += 1
-        if rank == nr:
-            break
-    return rank
+    return m[:rank], prev, sign
+
+
+def _basis(rows) -> list[list[int]]:
+    """Echelon basis of the row space of an integer matrix, each row divided
+    by its content (the gcd of its entries)."""
+    return [[x // g for x in row] for row in _reduce(rows)[0] for g in (gcd(*row),)]
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -103,44 +127,24 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _adjugate(u: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(adj(U), det(U)) of a nonsingular integer matrix, by fraction-free
-    Gauss-Jordan elimination on [U | I] (Bareiss 1968).
+    """(adj(U), det(U)) of a nonsingular integer matrix.
 
-    Every entry stays a minor of the augmented matrix, so each division by
-    the previous pivot is exact.  The last pivot p is det(U) up to the sign
-    of the row swaps; the left block ends as p*I and the right as p*U^-1.
+    _reduce turns [U | I] into p * [I | U^-1] with p = sign * det(U); U is
+    singular iff the pivots leave the left block, i.e. some row i of the
+    result has a zero at column i.
     """
     n = len(u)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(u)]
-    prev, sign = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-            sign = -sign
-        top = aug[k]
-        pivot = top[k]
-        for i in range(n):
-            if i != k:
-                factor = aug[i][k]
-                aug[i] = [(pivot * x - factor * y) // prev for x, y in zip(aug[i], top)]
-        prev = pivot
-    return [[sign * x for x in row[n:]] for row in aug], sign * prev
-
-
-def _cleared(m: ExactMatrix) -> tuple[list[list[int]], int]:
-    """(d*M, d) for d the lcm of the denominators of M: an integer matrix
-    with the same ranks, and the scale that maps it back."""
-    d = lcm(*(e.denominator for row in m.entries for e in row))
-    return [[e.numerator * (d // e.denominator) for e in row] for row in m.entries], d
+    rows, p, sign = _reduce([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(u)])
+    if any(row[i] == 0 for i, row in enumerate(rows)):
+        raise ValueError("matrix is singular")
+    return [[sign * x for x in row[n:]] for row in rows], sign * p
 
 
 def _random_invertible(rng: random.Random, n: int) -> list[list[int]]:
     while True:
         m = [[rng.randint(-_ENTRY_RANGE, _ENTRY_RANGE) for _ in range(n)] for _ in range(n)]
-        if _int_rank(m) == n:
+        if len(_reduce(m)[0]) == n:
             return m
 
 
@@ -158,57 +162,50 @@ def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMa
     if q:
         block = _random_invertible(random.Random(seed), q)
         for i in range(q):
-            for j in range(q):
-                rows[offset + i][offset + j] = block[i][j]
-    return ExactMatrix.from_rows(
-        [tuple(Fraction(v) for v in row) for row in rows])
+            rows[offset + i][offset:] = block[i]
+    return ExactMatrix.from_rows(rows)
 
 
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank over the rationals (denominators cleared first)."""
-    return _int_rank(_cleared(m)[0])
+    """Rank over the rationals (the common denominator changes no rank)."""
+    return len(_reduce(m.rows)[0])
 
 
 def matrix_rank_function(m: ExactMatrix) -> list[int]:
-    """(rk(M^0), ..., rk(M^n)), each rank computed on the literal power.
+    """(rk(M^0), ..., rk(M^n)) from the row-space chain V_j = rowspace(M^j).
 
-    A global scalar does not change ranks, so the matrix is cleared to an
-    integer one once and powered there.
+    V_{j+1} = V_j M lies inside V_j, so rk(M^j) = dim V_j falls until two
+    dimensions agree and is constant from there.  Each V_j is kept as a
+    _basis, so its entries are bounded by the subspace, not by the power.
     """
-    n = m.n
-    base = _cleared(m)[0]
-    ranks = [n]
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(n):
-        power = _int_matmul(power, base)
-        if any(any(row) for row in power):
-            ranks.append(_int_rank(power))
-        else:
-            ranks.append(0)  # the zero matrix stays zero
-    return ranks
+    ranks = [m.n]
+    span = m.rows
+    while len(ranks) <= m.n:
+        basis = _basis(span)
+        ranks.append(len(basis))
+        if ranks[-1] == ranks[-2]:
+            break
+        span = _int_matmul(basis, m.rows)
+    return ranks + ranks[-1:] * (m.n + 1 - len(ranks))
 
 
 def random_conjugate(m: ExactMatrix, seed: int = DEFAULT_SEED) -> ExactMatrix:
     """U^-1 M U for a seeded random integer U with nonzero determinant.
 
-    Computed on integers as adj(U) (dM) U = det(U) d U^-1 M U, with d
-    clearing the denominators of M; only the result is divided back.
+    With M = R / den for integer rows R, this is adj(U) R U / (det(U) den),
+    computed on integers.
     """
     u = _random_invertible(random.Random(seed), m.n)
     adj, det = _adjugate(u)
-    b, d = _cleared(m)
-    product = _int_matmul(_int_matmul(adj, b), u)
-    scale = det * d
-    return ExactMatrix(m.n, tuple(
-        tuple(Fraction(x, scale) for x in row) for row in product))
+    return ExactMatrix(m.n, _int_matmul(_int_matmul(adj, m.rows), u), det * m.den)
 
 
 def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Block-diagonal stack of two matrices."""
-    zero = Fraction(0)
-    rows = [tuple(row) + (zero,) * b.n for row in a.entries]
-    rows += [(zero,) * a.n + tuple(row) for row in b.entries]
-    return ExactMatrix(a.n + b.n, tuple(rows))
+    den = lcm(a.den, b.den)
+    rows = [[x * (den // a.den) for x in row] + [0] * b.n for row in a.rows]
+    rows += [[0] * a.n + [x * (den // b.den) for x in row] for row in b.rows]
+    return ExactMatrix(a.n + b.n, rows, den)
 
 
 def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,

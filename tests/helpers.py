@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they are used to check: the
 realizability set goes through explicit class enumeration, the partition
-counter uses the restricted-parts recursion, and the rank, determinant and
+counter uses the restricted-parts recursion, the rank, determinant and
 inverse routines are plain Fraction eliminations with no fraction-free
-tricks.  The maxima filters compare every pair of matrices entry by entry.
+tricks, and the ranks of powers are taken on the literal powers.  The
+maxima filters compare every pair of matrices entry by entry.
 """
 
 from fractions import Fraction
@@ -96,6 +97,18 @@ def frac_matmul(a, b):
     """Plain triple-loop product."""
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
              for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+def literal_power_ranks(rows):
+    """(rk(A^0), ..., rk(A^n)): every literal Fraction power, ranked by frac_rank."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    ranks = []
+    for _ in range(n + 1):
+        ranks.append(frac_rank(power))
+        power = frac_matmul(power, a)
+    return ranks
 
 
 def _entrywise_leq(a, b):

@@ -228,6 +228,21 @@ def test_budget_errors(capsys):
     assert code == 1 and json.loads(err)["error"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("argv", [
+    ["hasse", "--n", "1000"],
+    ["search", "--n", "1000", "--k", "1", "--budget", "10"],
+    ["search", "--n", "3", "--k", "100000000", "--budget", "10"],
+])
+def test_huge_requests_are_refused_in_a_fresh_process(argv):
+    """Refused before p(n) or a huge power is computed, in a process with
+    nothing cached."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankfn", *argv], capture_output=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr and proc.stderr.count(b"\n") == 1
+    assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
+
+
 @pytest.mark.parametrize("flags, error", [
     (["--max-n", "-3"], "ValueError"),
     (["--max-n", "0"], "ValueError"),
@@ -283,3 +298,13 @@ def test_explicit_seed_flag_wins(capsys, monkeypatch):
     doc = run_json(capsys, "oracle-verify", "--max-n", "2", "--q-max", "0",
                    "--seeds", "0", "--seed", "99")
     assert doc["seed"] == 99
+
+
+def test_malformed_seed_env_var(capsys, monkeypatch):
+    """Only oracle-verify reads $RANKFN_SEED; a bad value is its error alone."""
+    monkeypatch.setenv("RANKFN_SEED", "abc")
+    assert run_json(capsys, "rank", "--jp", "2,1") == [3, 1, 0, 0]
+    code, out, err = run(capsys, "oracle-verify", "--max-n", "2", "--q-max", "0",
+                         "--seeds", "0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"

@@ -242,6 +242,11 @@ def test_partitions_of_order_and_counts():
     assert partition_count(11) == 56
 
 
+def test_partition_count_does_not_recurse():
+    assert partition_count(1000) == 24061467864032622473692149727991
+    assert partition_count(-1) == 0
+
+
 def test_partitions_of_max_part():
     assert [p.parts for p in partitions_of(5, max_part=2)] == \
         [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -23,9 +24,9 @@ from rankfn import (
     verify_class_ranks,
 )
 
-from rankfn.oracle import _adjugate, _random_invertible
+from rankfn.oracle import _adjugate, _basis, _random_invertible, _reduce
 
-from helpers import frac_det, frac_inverse, frac_matmul, frac_rank
+from helpers import frac_det, frac_inverse, frac_matmul, frac_rank, literal_power_ranks
 
 F = Fraction
 
@@ -112,13 +113,78 @@ def test_exact_rank_literal_examples():
     assert exact_rank(ExactMatrix.from_rows([(F(0), F(0)), (F(0), F(0))])) == 0
 
 
+def _ints(rng, nr, nc):
+    return [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+
+
+def _low_rank(rng, nr, nc):
+    """A product through at most three dimensions, with some columns zeroed,
+    so elimination meets columns that have no pivot."""
+    k = rng.randint(1, 3)
+    rows = [[int(x) for x in row] for row in frac_matmul(_ints(rng, nr, k), _ints(rng, k, nc))]
+    for j in rng.sample(range(nc), rng.randint(0, nc - 1)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
 def test_int_rank_agrees_with_gauss_jordan():
     rng = random.Random(2024)
     for _ in range(50):
         n = rng.randint(1, 6)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        rows = _ints(rng, n, n)
         m = ExactMatrix.from_rows([[F(v) for v in row] for row in rows])
         assert exact_rank(m) == frac_rank(rows)
+    for _ in range(100):
+        rows = _low_rank(rng, rng.randint(1, 7), rng.randint(1, 7))
+        assert len(_reduce(rows)[0]) == frac_rank(rows)
+        if len(rows) == len(rows[0]):
+            assert exact_rank(ExactMatrix.from_rows(rows)) == frac_rank(rows)
+
+
+def test_basis_rows_are_primitive_and_scale_free():
+    rng = random.Random(7)
+    for _ in range(60):
+        rows = _low_rank(rng, rng.randint(1, 6), rng.randint(1, 6))
+        basis = _basis(rows)
+        assert len(basis) == frac_rank(rows) == frac_rank(rows + basis)
+        assert all(gcd(*row) == 1 for row in basis)
+        assert _basis([[6 * x for x in row] for row in rows]) == basis
+
+
+def _rational(rng, nr, nc):
+    return [[F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(nc)] for _ in range(nr)]
+
+
+def _conjugated(rng, m):
+    n = len(m)
+    while True:
+        u = _ints(rng, n, n)
+        if frac_det(u) != 0:
+            return frac_matmul(frac_matmul(frac_inverse(u), m), u)
+
+
+@pytest.mark.parametrize("kind", ["dense", "low-rank", "nilpotent", "mixed"])
+def test_matrix_rank_function_matches_literal_powers(kind):
+    """The row-space chain against ranks of literal Fraction powers."""
+    rng = random.Random(kind)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        if kind == "dense":
+            m = _rational(rng, n, n)
+        elif kind == "low-rank":
+            r = rng.randint(1, max(1, n - 1))
+            m = frac_matmul(_rational(rng, n, r), _rational(rng, r, n))
+        else:
+            s = n if kind == "nilpotent" else rng.randint(1, n)
+            m = [[F(0)] * n for _ in range(n)]
+            for i in range(s):  # strictly upper triangular, so nilpotent
+                m[i][i + 1:s] = [F(rng.choice((0, 1, 1, 2, -3))) for _ in range(s - i - 1)]
+            for i in range(s, n):  # a random, usually invertible, block
+                m[i][s:] = _rational(rng, 1, n - s)[0]
+            m = _conjugated(rng, m)
+        got = matrix_rank_function(ExactMatrix(n, tuple(map(tuple, m))))
+        assert got == literal_power_ranks(m), m
 
 
 def test_matrix_rank_function_matches_class_rank():
@@ -195,6 +261,24 @@ def test_exact_matrix_json_round_trip():
 def test_exact_matrix_shape_validation():
     with pytest.raises(ValueError):
         ExactMatrix(2, ((F(1),),))
+    with pytest.raises(ValueError):
+        ExactMatrix(1, ((1,),), 0)
+
+
+def test_exact_matrix_canonical_form():
+    """However a matrix is written, it is stored as one lowest-terms pair."""
+    want = ExactMatrix(2, ((F(1, 2), F(1)), (F(0), F(-3, 2))))
+    assert want.rows == ((1, 2), (0, -3)) and want.den == 2
+    for m in (
+        ExactMatrix(2, ((F(2, 4), 1), (0, F(-6, 4)))),
+        ExactMatrix(2, (("1/2", F(4, 4)), (0, "-3/2"))),
+        ExactMatrix(2, ((2, 4), (0, -6)), 4),
+        ExactMatrix(2, ((-1, -2), (0, 3)), -2),
+        ExactMatrix(2, ((F(-3, 2), -3), (0, F(9, 2))), -3),
+    ):
+        assert m == want and hash(m) == hash(want) and m.to_json() == want.to_json()
+    zero = ExactMatrix(2, ((0, 0), (0, 0)), 7)
+    assert zero == ExactMatrix.from_rows(((0, 0), (0, 0))) and zero.den == 1
 
 
 def test_verify_class_ranks_summary():
