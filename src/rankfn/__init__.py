@@ -35,7 +35,6 @@ from .equations import (
     solve_nilpotent,
     solve_with_stable_ranks,
     structure_check_identity,
-    validate_convex_table,
 )
 from .geometry import (
     Component,
@@ -47,7 +46,6 @@ from .geometry import (
     dominating_tuple,
     enumerate_sol,
     hasse_dot,
-    in_product_closure,
     irreducible_components,
     is_irreducible,
     maximal_elements,
@@ -55,7 +53,6 @@ from .geometry import (
     orbit_dimension,
     rank_matrix,
     rm_leq,
-    same_orbit_tuple,
     sol_capacity,
 )
 from .oracle import (

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import geometry, oracle
 from .core import (
@@ -88,10 +87,6 @@ def _sized_class(text: str, n: int) -> MatrixClass:
     if c.size != n:
         raise ValueError(f"class {text!r} has size {c.size}, expected n = {n}")
     return c
-
-
-def _capacity_str(c) -> str:
-    return "-inf" if c == float("-inf") else str(Fraction(c))
 
 
 def _default_seed() -> int:
@@ -183,7 +178,7 @@ def _cmd_components(args) -> str:
     return _dumps({
         "count": len(comps),
         "dimensions": [c.dimension for c in comps],
-        "capacity": _capacity_str(geometry.components_capacity(comps)),
+        "capacity": str(geometry.components_capacity(comps)),
         "irreducible": len(comps) == 1,
         "components": [c.to_json() for c in comps],
     })
@@ -192,7 +187,7 @@ def _cmd_components(args) -> str:
 def _cmd_capacity(args) -> str:
     f = _parse_table(args.f, args.n, convex=True)
     s = geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
-    return _dumps({"capacity": _capacity_str(geometry.sol_capacity(s))})
+    return _dumps({"capacity": str(geometry.sol_capacity(s))})
 
 
 def _cmd_dominating_tuple(args) -> str:

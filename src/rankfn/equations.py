@@ -30,7 +30,6 @@ from .core import (
     partition_to_rank,
     partitions_of,
     rank_to_class,
-    rank_to_partition,
 )
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "BudgetExceeded",
     "FnTable",
     "ConvexTable",
-    "validate_convex_table",
-    "table_from_json",
     "EquationSpec",
     "SolutionTuple",
     "check_solution",
@@ -121,25 +118,6 @@ class ConvexTable(FnTable):
             raise NotConvex(f"table is not convex: {v!r}")
 
 
-def validate_convex_table(values: Sequence[int]) -> ConvexTable:
-    """Wrap a value list, raising the specific violated condition if any."""
-    return ConvexTable(tuple(values))
-
-
-def table_from_json(obj: dict, n: int, convex: bool = False) -> FnTable:
-    """Rebuild a table from its JSON descriptor, materialized on 0..n for the
-    named kinds."""
-    kind = obj.get("kind", "table")
-    cls = ConvexTable if convex else FnTable
-    if kind == "id":
-        return cls.identity(n)
-    if kind == "square":
-        return cls.squares(n)
-    if kind == "table":
-        return cls(tuple(int(v) for v in obj["values"]))
-    raise InvalidTable(f"unknown table kind: {kind!r}")
-
-
 @dataclass(frozen=True)
 class EquationSpec:
     """A fixed equation shape: k left-hand classes of size n, tables f and g,
@@ -175,17 +153,6 @@ class EquationSpec:
             "g": self.g.to_json(),
             "include_zero": self.include_zero,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EquationSpec":
-        n = int(obj["n"])
-        return cls(
-            n=n,
-            k=int(obj["k"]),
-            f=table_from_json(obj["f"], n, convex=False),
-            g=table_from_json(obj["g"], n, convex=False),
-            include_zero=bool(obj.get("include_zero", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -241,14 +208,30 @@ def check_solution(spec: EquationSpec, sol: SolutionTuple) -> bool:
     )
 
 
+def _solve(f: ConvexTable, ranks: Sequence[RankFunction], n: int) -> MatrixClass | None:
+    """The class B of size n whose rank function is the f-sum of ranks on
+    1..n, or None when that sum is not a rank function.
+
+    Writing r(m) for the transformed sum, the candidate (n, r(1), ..., r(n))
+    is automatically weakly decreasing and convex away from 0, so it is a
+    rank function exactly when 2 r(1) - r(2) <= n.
+    """
+    if len(f.values) < n + 1:
+        raise InvalidTable(f"f table must cover 0..{n}")
+    r = [sum(f(rk.at(m)) for rk in ranks) for m in range(n + 1)]
+    if 2 * r[1] - r[2] > n:
+        return None
+    values = (n, *r[1:])
+    assert is_valid_rank_function(values), values
+    return rank_to_class(RankFunction(values))
+
+
 def solve_nilpotent(f: ConvexTable, lhs: Sequence[Partition]) -> Partition | None:
     """Unique nilpotent B with sum of f(r_{A_i}(m)) equal to r_B(m) on 1..n,
     or None when no such B exists.
 
-    Writing r(m) for the transformed sum, the candidate (n, r(1), ..., r(n))
-    is automatically weakly decreasing and convex away from 0, so it is a
-    rank function exactly when 2 r(1) - r(2) <= n.  Since f(0) = 0 the tail
-    vanishes and the candidate pins down a genuine partition of n.
+    Takes k >= 1 partitions.  Since f(0) = 0 the tail of the f-sum vanishes,
+    so a solution is always nilpotent and pins down a partition of n.
     """
     if not lhs:
         raise ValueError("need at least one left-hand partition")
@@ -257,19 +240,13 @@ def solve_nilpotent(f: ConvexTable, lhs: Sequence[Partition]) -> Partition | Non
         raise ValueError("left-hand partitions must share one size")
     if any(not nontrivial_blocks(p) for p in lhs):
         raise ValueError("zero classes are excluded: every partition needs a part >= 2")
-    if len(f.values) < n + 1:
-        raise InvalidTable(f"f table must cover 0..{n}")
-    ranks = [partition_to_rank(p) for p in lhs]
-    r = [sum(f(rk.at(m)) for rk in ranks) for m in range(n + 1)]
-    if 2 * r[1] - r[2] > n:
-        return None
-    values = (n, *r[1:])
-    assert is_valid_rank_function(values), values
-    return rank_to_partition(RankFunction(values))
+    out = _solve(f, [partition_to_rank(p) for p in lhs], n)
+    return None if out is None else out.nilp
 
 
 def solve_with_stable_ranks(f: ConvexTable, lhs: Sequence[MatrixClass]) -> MatrixClass | None:
-    """Mixed-class variant of ``solve_nilpotent`` for k >= 2 classes.
+    """Mixed-class variant of ``solve_nilpotent``; unlike it, this takes
+    k >= 2 classes.
 
     The solution's stable rank is the f-sum of the left-hand stable ranks
     (it appears as the tail of the assembled sequence), and its nilpotent
@@ -285,16 +262,8 @@ def solve_with_stable_ranks(f: ConvexTable, lhs: Sequence[MatrixClass]) -> Matri
         raise ValueError(f"matrix size must be at least 2: n = {n}")
     if any(c.is_zero for c in lhs):
         raise ValueError("zero classes are excluded")
-    if len(f.values) < n + 1:
-        raise InvalidTable(f"f table must cover 0..{n}")
-    ranks = [class_rank(c) for c in lhs]
-    r = [sum(f(rk.at(m)) for rk in ranks) for m in range(n + 1)]
-    if 2 * r[1] - r[2] > n:
-        return None
-    values = (n, *r[1:])
-    assert is_valid_rank_function(values), values
-    out = rank_to_class(RankFunction(values))
-    assert out.q == sum(f(c.q) for c in lhs)
+    out = _solve(f, [class_rank(c) for c in lhs], n)
+    assert out is None or out.q == sum(f(c.q) for c in lhs)
     return out
 
 
@@ -348,10 +317,15 @@ def search_general(spec: EquationSpec, budget: int = 10**6, workers: int = 1) ->
         raise BudgetExceeded(
             f"p({spec.n})^{spec.k + 1} >= {spec.n}^{spec.k + 1} candidate tuples "
             f"exceed budget {budget}")
-    total = partition_count(spec.n) ** (spec.k + 1)
-    if total > budget:
-        raise BudgetExceeded(
-            f"p({spec.n})^{spec.k + 1} = {total} candidate tuples exceed budget {budget}")
+    # p is increasing, so the first m with p(m)^(k+1) > budget already
+    # refuses n, and the p table need not be filled up to a huge n
+    for m in range(spec.n + 1):
+        total = partition_count(m) ** (spec.k + 1)
+        if total > budget:
+            below = f" >= p({m})^{spec.k + 1}" if m < spec.n else ""
+            raise BudgetExceeded(
+                f"p({spec.n})^{spec.k + 1}{below} = {total} candidate tuples "
+                f"exceed budget {budget}")
     cand = [p for p in partitions_of(spec.n) if nontrivial_blocks(p)]
     if workers > 1 and len(cand) > 1:
         chunks = [cand[i::workers] for i in range(workers)]

@@ -14,16 +14,14 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import le
 from typing import Sequence
 
 from .core import (
-    MatrixClass,
     Partition,
     RankFunction,
     class_rank,
-    conjugate,
-    dominates,
     nontrivial_blocks,
     partition_to_rank,
     partitions_of,
@@ -44,8 +42,6 @@ __all__ = [
     "DominatingTuple",
     "rank_matrix",
     "rm_leq",
-    "in_product_closure",
-    "same_orbit_tuple",
     "enumerate_sol",
     "maximal_elements",
     "irreducible_components",
@@ -108,32 +104,22 @@ def rm_leq(a: RankMatrix, b: RankMatrix) -> bool:
     return _flat_leq(_flat(a), _flat(b))
 
 
-def in_product_closure(lhs: Sequence[Partition], rhs: Sequence[Partition]) -> bool:
-    """Does the product orbit of lhs lie in the product-orbit closure of rhs?
-    Equivalent to coordinatewise dominance of rank functions."""
-    if len(lhs) != len(rhs):
-        raise ValueError(f"coordinate count mismatch: {len(lhs)} vs {len(rhs)}")
-    return all(
-        dominates(partition_to_rank(a), partition_to_rank(b))
-        for a, b in zip(lhs, rhs)
-    )
-
-
-def same_orbit_tuple(a: Sequence[Partition], b: Sequence[Partition]) -> bool:
-    """Conjugate coordinate by coordinate, i.e. literally the same partitions."""
-    return [p.parts for p in a] == [p.parts for p in b]
-
-
 @dataclass(frozen=True)
 class SolSet:
-    """All nontrivial nilpotent solutions for one (n, k, f), with their
-    deduplicated rank matrices."""
+    """All nontrivial nilpotent solutions for one (n, k, f).
+
+    The rank matrices are derived from the tuples, one per tuple in tuple
+    order.  They are distinct, because the rows determine the partitions.
+    """
 
     n: int
     k: int
     f: ConvexTable
     tuples: tuple[SolutionTuple, ...]
-    rank_matrices: tuple[RankMatrix, ...]
+
+    @cached_property
+    def rank_matrices(self) -> tuple[RankMatrix, ...]:
+        return tuple(rank_matrix(t) for t in self.tuples)
 
     def to_json(self) -> dict:
         return {
@@ -207,14 +193,7 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6, workers: 
 
     sols = [SolutionTuple.from_partitions(lhs, rhs) for lhs, rhs in pairs]
     sols.sort(key=lambda s: tuple(c.nilp.parts for c in s.lhs) + (s.rhs.nilp.parts,))
-    matrices: list[RankMatrix] = []
-    seen: set[RankMatrix] = set()
-    for s in sols:
-        rm = rank_matrix(s)
-        if rm not in seen:
-            seen.add(rm)
-            matrices.append(rm)
-    return SolSet(n=n, k=k, f=f, tuples=tuple(sols), rank_matrices=tuple(matrices))
+    return SolSet(n=n, k=k, f=f, tuples=tuple(sols))
 
 
 def maximal_elements(s: SolSet) -> list[RankMatrix]:
@@ -244,7 +223,10 @@ class Component:
 
     max_rm: RankMatrix
     dimension: int
-    capacity: Fraction
+
+    @property
+    def capacity(self) -> Fraction:
+        return Fraction(self.dimension, 2)
 
     def to_json(self) -> dict:
         return {
@@ -271,8 +253,7 @@ def irreducible_components(s: SolSet) -> list[Component]:
     """One component per maximal rank matrix, with dimension and capacity."""
     comps = []
     for rm in maximal_elements(s):
-        dim = component_dimension(rm)
-        comps.append(Component(max_rm=rm, dimension=dim, capacity=Fraction(dim, 2)))
+        comps.append(Component(max_rm=rm, dimension=component_dimension(rm)))
     # single component and existence of a greatest element are the same thing;
     # is_irreducible finds the latter by another route, so cross-check here
     assert (len(comps) == 1) == is_irreducible(s)
@@ -281,14 +262,10 @@ def irreducible_components(s: SolSet) -> list[Component]:
 
 def orbit_dimension(p: Partition) -> int:
     """Dimension of the conjugation orbit of a nilpotent class: n^2 minus the
-    sum of squared rank drops, equivalently n^2 minus the squared conjugate
-    parts (both computed, kept in agreement)."""
+    sum of squared rank drops (the drops are the conjugate parts)."""
     n = p.n
     r = partition_to_rank(p).values
-    by_drops = n * n - sum((r[j] - r[j + 1]) ** 2 for j in range(n))
-    by_conj = n * n - sum(c * c for c in conjugate(p).parts)
-    assert by_drops == by_conj
-    return by_drops
+    return n * n - sum((r[j] - r[j + 1]) ** 2 for j in range(n))
 
 
 def component_dimension(rm: RankMatrix) -> int:
@@ -302,14 +279,16 @@ def orbit_capacity(p: Partition) -> Fraction:
     return Fraction(orbit_dimension(p), 2)
 
 
-def components_capacity(comps: Sequence[Component]):
-    """The best capacity among components, or -inf when there are none."""
+def components_capacity(comps: Sequence[Component]) -> Fraction | float:
+    """The best capacity among components: a Fraction, or float -inf (the
+    supremum of the empty set) when there are none."""
     return max((c.capacity for c in comps), default=float("-inf"))
 
 
-def sol_capacity(s: SolSet):
+def sol_capacity(s: SolSet) -> Fraction | float:
     """Largest linear subspace dimension inside the solution-set closure:
-    the best component capacity, or -inf for an empty set."""
+    the best component capacity as a Fraction, or float -inf for an empty
+    set.  ``str`` prints either as the CLI does."""
     return components_capacity(irreducible_components(s))
 
 

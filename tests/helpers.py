@@ -5,7 +5,8 @@ realizability set goes through explicit class enumeration, the partition
 counter uses the restricted-parts recursion, the rank, determinant and
 inverse routines are plain Fraction eliminations with no fraction-free
 tricks, and the ranks of powers are taken on the literal powers.  The
-maxima filters compare every pair of matrices entry by entry.
+maxima filters compare every pair of matrices entry by entry, and orbit
+dimensions come from squared conjugate parts, not from rank drops.
 """
 
 from fractions import Fraction
@@ -125,6 +126,17 @@ def all_pairs_maxima(matrices):
 def has_greatest(matrices):
     """Does one matrix lie entrywise above every other one?"""
     return any(all(_entrywise_leq(b, a) for b in matrices) for a in matrices)
+
+
+def orbit_dimension_by_conjugate(parts):
+    """n^2 minus the squared conjugate parts, the conjugate taken by
+    transposing the Young diagram row by row."""
+    n = sum(parts)
+    conj = [0] * (max(parts) if parts else 0)
+    for k in parts:
+        for c in range(k):
+            conj[c] += 1
+    return n * n - sum(c * c for c in conj)
 
 
 def decreasing_windows(n):

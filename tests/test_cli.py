@@ -232,6 +232,7 @@ def test_budget_errors(capsys):
     ["hasse", "--n", "1000"],
     ["search", "--n", "1000", "--k", "1", "--budget", "10"],
     ["search", "--n", "3", "--k", "100000000", "--budget", "10"],
+    ["search", "--n", "1000000", "--k", "1", "--budget", "1000000000000"],
 ])
 def test_huge_requests_are_refused_in_a_fresh_process(argv):
     """Refused before p(n) or a huge power is computed, in a process with

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import all_pairs_maxima, has_greatest
+from helpers import all_pairs_maxima, has_greatest, orbit_dimension_by_conjugate
 
 from rankfn import (
     BudgetExceeded,
@@ -23,7 +23,6 @@ from rankfn import (
     dominating_tuple,
     enumerate_sol,
     hasse_dot,
-    in_product_closure,
     irreducible_components,
     is_irreducible,
     maximal_elements,
@@ -35,7 +34,6 @@ from rankfn import (
     rank_matrix,
     rank_to_partition,
     rm_leq,
-    same_orbit_tuple,
     SolSet,
     sol_capacity,
     solve_nilpotent,
@@ -144,23 +142,6 @@ def test_rm_leq_is_a_partial_order_on_enumerated_sets():
                         assert rm_leq(a, c)
 
 
-def test_in_product_closure():
-    lhs = [Partition((2, 1, 1, 1, 1, 1, 1)), Partition((3, 1, 1, 1, 1, 1))]
-    rhs = [Partition((2, 2, 1, 1, 1, 1)), Partition((2, 2, 1, 1, 1, 1))]
-    assert not in_product_closure(lhs, rhs)          # second coordinate fails
-    assert in_product_closure([lhs[0], lhs[0]], [rhs[0], rhs[1]])
-    assert in_product_closure(lhs, lhs)
-    with pytest.raises(ValueError):
-        in_product_closure(lhs, rhs[:1])
-
-
-def test_same_orbit_tuple():
-    a = [Partition((3, 2)), Partition((2, 2, 1))]
-    assert same_orbit_tuple(a, [Partition((2, 3)), Partition((1, 2, 2))])
-    assert not same_orbit_tuple([Partition((3, 2))], [Partition((2, 2, 1))])
-    assert not same_orbit_tuple(a, a[:1])
-
-
 # ---------------------------------------------------------------- enumeration
 
 def test_enumerate_sol_frozen_small_cases():
@@ -216,6 +197,9 @@ def test_enumerate_sol_rank_matrices_faithful():
         s = enumerate_sol(n, k, ConvexTable.identity(n))
         assert len(s.rank_matrices) == len(s.tuples)
         assert len(set(s.rank_matrices)) == len(s.rank_matrices)
+        for t, rm in zip(s.tuples, s.rank_matrices):
+            assert [rank_to_partition(row) for row in rm.rows] == [
+                c.nilp for c in (*t.lhs, t.rhs)]
 
 
 def test_enumerate_sol_deterministic_and_sorted():
@@ -251,17 +235,17 @@ def test_maximal_elements_n5():
 
 def sweep_cases():
     """Enumerated sets for n = 4..9, k = 1..3, f = id and square, each with a
-    few seeded random subsets of its rank matrices (the empty one included)."""
+    few seeded random subsets of its tuples (the empty one included)."""
     rng = random.Random(4)
     for n in range(4, 10):
         for k in range(1, 4):
             for f in (ConvexTable.identity(n), ConvexTable.squares(n)):
                 s = enumerate_sol(n, k, f)
                 yield s
-                rms = list(s.rank_matrices)
-                for size in (0, min(1, len(rms)), len(rms) // 2):
-                    sub = tuple(sorted(rng.sample(rms, size), key=rms.index))
-                    yield SolSet(n=n, k=k, f=f, tuples=(), rank_matrices=sub)
+                tuples = list(s.tuples)
+                for size in (0, min(1, len(tuples)), len(tuples) // 2):
+                    sub = tuple(sorted(rng.sample(tuples, size), key=tuples.index))
+                    yield SolSet(n=n, k=k, f=f, tuples=sub)
 
 
 def test_maximal_elements_equals_all_pairs_filter():
@@ -318,6 +302,12 @@ def test_orbit_dimension_closed_forms():
     assert orbit_dimension(Partition((1,) * 6)) == 0
     assert orbit_dimension(Partition((6,))) == 30
     assert orbit_dimension(Partition((2, 1, 1))) == 6
+
+
+def test_orbit_dimension_matches_conjugate_parts():
+    for n in range(13):
+        for p in partitions_of(n):
+            assert orbit_dimension(p) == orbit_dimension_by_conjugate(p.parts)
 
 
 def test_component_dimension_examples():
