@@ -93,4 +93,5 @@ def test_cli_matches_golden_outputs():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([outcome(a) for a in requests()], indent=1) + "\n")
+    rows = (json.dumps(outcome(a)) for a in requests())
+    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
