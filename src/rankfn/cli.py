@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import geometry, oracle
 from .core import (
@@ -31,6 +32,7 @@ from .equations import (
     FnTable,
     InvalidTable,
     SolutionTuple,
+    check_search_budget,
     check_solution,
     search_general,
     solve_nilpotent,
@@ -73,6 +75,12 @@ def _parse_table(text: str, n: int, convex: bool):
         return cls(_parse_values(text[len("table:"):]))
     raise ValueError(
         f"table spec must be 'id', 'square', or 'table:v0,v1,...': {text!r}")
+
+
+def _spec(args, k: int) -> EquationSpec:
+    f = _parse_table(args.f, args.n, convex=False)
+    g = _parse_table(args.g, args.n, convex=False)
+    return EquationSpec(n=args.n, k=k, f=f, g=g, include_zero=args.include_zero)
 
 
 def _sized_partition(text: str, n: int) -> Partition:
@@ -135,25 +143,16 @@ def _cmd_solve_stable(args) -> str:
 
 def _cmd_check(args) -> str:
     lhs = [_sized_class(t, args.n) for t in args.cls]
-    spec = EquationSpec(
-        n=args.n,
-        k=len(lhs),
-        f=_parse_table(args.f, args.n, convex=False),
-        g=_parse_table(args.g, args.n, convex=False),
-        include_zero=args.include_zero,
-    )
+    spec = _spec(args, len(lhs))
     sol = SolutionTuple(tuple(lhs), _sized_class(args.rhs, args.n))
     return _dumps({"holds": check_solution(spec, sol)})
 
 
 def _cmd_search(args) -> str:
-    spec = EquationSpec(
-        n=args.n,
-        k=args.k,
-        f=_parse_table(args.f, args.n, convex=False),
-        g=_parse_table(args.g, args.n, convex=False),
-        include_zero=args.include_zero,
-    )
+    if args.n >= 2 and args.k >= 1 and args.workers >= 1:
+        # refuse before any table on 0..n is built
+        check_search_budget(args.n, args.k, args.budget)
+    spec = _spec(args, args.k)
     sols = search_general(spec, budget=args.budget, workers=args.workers)
     return _dumps({
         "n": args.n,
@@ -207,7 +206,9 @@ def _cmd_oracle_verify(args) -> str:
     return _dumps(report)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call, then shared: parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="rankfn",
         description="Rank functions of matrix powers: conversions, equations, "
@@ -269,24 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumeration state cap; exceeding it is an error")
     p.add_argument("--workers", type=int, default=1)
 
-    p = add("components", _cmd_components, "irreducible components of the solution closure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--f", default="id")
-    p.add_argument("--budget", type=int, default=10**6)
-
-    p = add("capacity", _cmd_capacity, "linear capacity of the solution closure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--f", default="id")
-    p.add_argument("--budget", type=int, default=10**6)
-
-    p = add("dominating-tuple", _cmd_dominating_tuple,
-            "least coordinatewise upper bound and its capacity bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--f", default="id")
-    p.add_argument("--budget", type=int, default=10**6)
+    for name, handler, help_text in (
+            ("components", _cmd_components, "irreducible components of the solution closure"),
+            ("capacity", _cmd_capacity, "linear capacity of the solution closure"),
+            ("dominating-tuple", _cmd_dominating_tuple,
+             "least coordinatewise upper bound and its capacity bound")):
+        p = add(name, handler, help_text)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--f", default="id")
+        p.add_argument("--budget", type=int, default=10**6)
 
     p = add("hasse", _cmd_hasse, "DOT diagram of dominance on partitions of n")
     p.add_argument("--n", type=int, required=True)

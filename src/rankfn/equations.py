@@ -46,6 +46,7 @@ __all__ = [
     "solve_nilpotent",
     "solve_with_stable_ranks",
     "structure_check_identity",
+    "check_search_budget",
     "search_general",
 ]
 
@@ -144,15 +145,6 @@ class EquationSpec:
 
     def points(self) -> range:
         return range(0 if self.include_zero else 1, self.n + 1)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "f": self.f.to_json(),
-            "g": self.g.to_json(),
-            "include_zero": self.include_zero,
-        }
 
 
 @dataclass(frozen=True)
@@ -301,6 +293,24 @@ def _search_block(args: tuple) -> list[tuple[tuple[tuple[int, ...], ...], tuple[
     return out
 
 
+def check_search_budget(n: int, k: int, budget: int) -> None:
+    """Refuse a search whose p(n)^(k+1) candidate tuples exceed the budget.
+    Needs n >= 2 and k >= 1, but no table."""
+    # p(n) >= n >= 2, so p(n)^(k+1) > budget as soon as n^(k+1) > budget,
+    # which holds without forming the power once 2^(k+1) > budget
+    if k + 1 >= budget.bit_length() or n ** (k + 1) > budget:
+        raise BudgetExceeded(
+            f"p({n})^{k + 1} >= {n}^{k + 1} candidate tuples exceed budget {budget}")
+    # p is increasing, so the first m with p(m)^(k+1) > budget already
+    # refuses n, and the p table need not be filled up to a huge n
+    for m in range(n + 1):
+        total = partition_count(m) ** (k + 1)
+        if total > budget:
+            below = f" >= p({m})^{k + 1}" if m < n else ""
+            raise BudgetExceeded(
+                f"p({n})^{k + 1}{below} = {total} candidate tuples exceed budget {budget}")
+
+
 def search_general(spec: EquationSpec, budget: int = 10**6, workers: int = 1) -> list[SolutionTuple]:
     """All nontrivial nilpotent tuples satisfying the equation, by exhaustion.
 
@@ -311,21 +321,7 @@ def search_general(spec: EquationSpec, budget: int = 10**6, workers: int = 1) ->
     """
     if workers < 1:
         raise ValueError(f"need at least one worker: workers = {workers}")
-    # p(n) >= n >= 2, so p(n)^(k+1) > budget as soon as n^(k+1) > budget,
-    # which holds without forming the power once 2^(k+1) > budget
-    if spec.k + 1 >= budget.bit_length() or spec.n ** (spec.k + 1) > budget:
-        raise BudgetExceeded(
-            f"p({spec.n})^{spec.k + 1} >= {spec.n}^{spec.k + 1} candidate tuples "
-            f"exceed budget {budget}")
-    # p is increasing, so the first m with p(m)^(k+1) > budget already
-    # refuses n, and the p table need not be filled up to a huge n
-    for m in range(spec.n + 1):
-        total = partition_count(m) ** (spec.k + 1)
-        if total > budget:
-            below = f" >= p({m})^{spec.k + 1}" if m < spec.n else ""
-            raise BudgetExceeded(
-                f"p({spec.n})^{spec.k + 1}{below} = {total} candidate tuples "
-                f"exceed budget {budget}")
+    check_search_budget(spec.n, spec.k, budget)
     cand = [p for p in partitions_of(spec.n) if nontrivial_blocks(p)]
     if workers > 1 and len(cand) > 1:
         chunks = [cand[i::workers] for i in range(workers)]

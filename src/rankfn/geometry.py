@@ -19,6 +19,7 @@ from operator import le
 from typing import Sequence
 
 from .core import (
+    InvalidRankFunction,
     Partition,
     RankFunction,
     class_rank,
@@ -260,17 +261,23 @@ def irreducible_components(s: SolSet) -> list[Component]:
     return comps
 
 
+def _rank_orbit_dimension(r: RankFunction) -> int:
+    """n^2 minus the squared rank drops (the conjugate parts) of a nilpotent class."""
+    if r.stable_rank:
+        raise InvalidRankFunction(
+            f"stable rank {r.stable_rank} != 0: not a nilpotent class: {r.values!r}")
+    v = r.values
+    return r.n ** 2 - sum((a - b) ** 2 for a, b in zip(v, v[1:]))
+
+
 def orbit_dimension(p: Partition) -> int:
-    """Dimension of the conjugation orbit of a nilpotent class: n^2 minus the
-    sum of squared rank drops (the drops are the conjugate parts)."""
-    n = p.n
-    r = partition_to_rank(p).values
-    return n * n - sum((r[j] - r[j + 1]) ** 2 for j in range(n))
+    """Dimension of the conjugation orbit of a nilpotent class."""
+    return _rank_orbit_dimension(partition_to_rank(p))
 
 
 def component_dimension(rm: RankMatrix) -> int:
-    """Sum of orbit dimensions over the rows (a product of orbit closures)."""
-    return sum(orbit_dimension(rank_to_partition(row)) for row in rm.rows)
+    """Sum of the rows' orbit dimensions (a product of orbit closures)."""
+    return sum(_rank_orbit_dimension(row) for row in rm.rows)
 
 
 def orbit_capacity(p: Partition) -> Fraction:

@@ -1,13 +1,19 @@
 """Command-line surface: frozen outputs, schemas, determinism, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+from rankfn import cli
 from rankfn.cli import main
 
 SCHEMAS = json.loads(
@@ -244,6 +250,33 @@ def test_huge_requests_are_refused_in_a_fresh_process(argv):
     assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
 
 
+def test_over_budget_search_is_refused_before_any_table(capsys, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a table was built for an over-budget search")
+
+    monkeypatch.setattr(cli, "_parse_table", no_tables)
+    code, out, err = run(capsys, "search", "--n", "4000000", "--k", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("argv, error", [
+    # over budget and malformed: the budget is checked first
+    (["search", "--n", "4000000", "--k", "1", "--f", "cube"], "BudgetExceeded"),
+    (["search", "--n", "50", "--k", "2", "--g", "table:0,1"], "BudgetExceeded"),
+    # n < 2 or k < 1: the tables are parsed first, as before
+    (["search", "--n", "1", "--k", "1", "--f", "cube"], "ValueError"),
+    (["search", "--n", "4000000", "--k", "0", "--f", "cube"], "ValueError"),
+    (["search", "--n", "-1", "--k", "1"], "InvalidTable"),
+    (["search", "--n", "1", "--k", "1"], "ValueError"),
+    (["search", "--n", "5", "--k", "0"], "ValueError"),
+])
+def test_search_error_precedence(argv, error, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 @pytest.mark.parametrize("flags, error", [
     (["--max-n", "-3"], "ValueError"),
     (["--max-n", "0"], "ValueError"),
@@ -309,3 +342,115 @@ def test_malformed_seed_env_var(capsys, monkeypatch):
                          "--seeds", "0")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+
+
+# ---------------------------------------------------------------- fuzz
+
+SIZES = st.integers(-2, 9)
+ARITIES = st.integers(-1, 3)
+PARTS = st.one_of(
+    st.lists(st.integers(1, 4), max_size=5).map(lambda ps: ",".join(map(str, ps))),
+    st.sampled_from(["", "3,,2", "2,-1", "0", "x", "1.5", " 2 , 1 ", "2;1"]))
+CLASSES = st.one_of(
+    PARTS,
+    st.tuples(PARTS, st.integers(-1, 3)).map(lambda pq: f"{pq[0]}:{pq[1]}"),
+    st.sampled_from([":", "2,1:x", ":2", "3:1:1"]))
+VALUES = st.one_of(
+    st.lists(st.integers(-1, 9), max_size=9).map(lambda vs: ",".join(map(str, vs))),
+    st.sampled_from(["", "4,x", "3,2,,1", "2.0,1,0"]))
+TABLES = st.one_of(
+    st.sampled_from(["id", "square"]),
+    # convex: increasing steps from 0
+    st.lists(st.integers(1, 4), max_size=11).map(
+        lambda steps: "table:" + ",".join(map(str, accumulate(sorted(steps), initial=0)))),
+    st.lists(st.integers(0, 30), max_size=11).map(
+        lambda vs: "table:" + ",".join(map(str, vs))),
+    st.sampled_from(["cube", "table:", "table:0,1,x", "table:0,2,3"]))
+
+
+def _flags(**opts):
+    return [a for name, value in opts.items()
+            for a in (f"--{name.replace('_', '-')}", str(value))]
+
+
+def _repeated(name, texts):
+    return [a for t in texts for a in (f"--{name}", t)]
+
+
+def _size(text):
+    """The n that a part or class list asks for, or 0 when it is malformed."""
+    parts, _, q = text.partition(":")
+    try:
+        return sum(int(t) for t in parts.split(",") if t.strip()) + int(q or 0)
+    except ValueError:
+        return 0
+
+
+@st.composite
+def requests(draw):
+    """argv for one verb, with sizes, arities and budgets small enough that
+    every request finishes in milliseconds; one in five loses its first flag
+    or gains an unknown one."""
+    argv = draw(verb_requests())
+    mangle = draw(st.sampled_from(["none"] * 8 + ["drop", "unknown"]))
+    if mangle == "drop":
+        return argv[:1] + argv[3:]
+    if mangle == "unknown":
+        return argv + ["--frobnicate"]
+    return argv
+
+
+@st.composite
+def verb_requests(draw):
+    verb = draw(st.sampled_from(sorted([*SCHEMA_COMMANDS, "hasse"])))
+    n, k, budget = draw(SIZES), draw(ARITIES), draw(st.integers(-1, 2000))
+    if verb == "rank":
+        return [verb, "--jp", draw(PARTS), *_flags(q=draw(ARITIES))]
+    if verb == "unrank":
+        return [verb, "--values", draw(VALUES)]
+    if verb == "dominates":
+        return [verb, "--a", draw(PARTS), "--b", draw(PARTS)]
+    if verb == "solve":
+        jps = draw(st.lists(PARTS, min_size=1, max_size=3))
+        n = draw(st.sampled_from([n, _size(jps[0])]))
+        return [verb, *_flags(n=n, f=draw(TABLES)), *_repeated("jp", jps)]
+    if verb in ("solve-stable", "check"):
+        cls = draw(st.lists(CLASSES, min_size=1, max_size=3))
+        n = draw(st.sampled_from([n, _size(cls[0])]))
+        argv = [verb, *_flags(n=n, f=draw(TABLES)), *_repeated("cls", cls)]
+        if verb == "check":
+            argv += ["--g", draw(TABLES), "--rhs", draw(CLASSES)]
+        return argv
+    if verb == "hasse":
+        return [verb, *_flags(n=n)]
+    if verb == "oracle-verify":
+        # q-max and seeds stay low: max n = 9 with q-max = 3 takes half a second
+        return [verb, *_flags(max_n=n, q_max=draw(st.integers(-1, 1)),
+                              seeds=draw(st.integers(-1, 0)), seed=budget)]
+    argv = [verb, *_flags(n=n, k=k, f=draw(TABLES), budget=budget)]
+    if verb == "search":
+        argv += ["--g", draw(TABLES)]
+    if verb in ("search", "enumerate"):
+        argv += _flags(workers=draw(st.sampled_from([1, 1, 1, 0, -1])))
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(requests())
+def test_fuzzed_requests_exit_0_1_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = 2
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n"), argv
+        doc = json.loads(lines[0])
+        assert set(doc) == {"error", "detail"} and doc["detail"], argv

@@ -15,6 +15,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from rankfn.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
@@ -89,6 +91,17 @@ def test_cli_matches_golden_outputs():
     golden = json.loads(GOLDEN.read_text())
     assert [g["argv"] for g in golden] == requests()
     mismatched = [g["argv"] for g in golden if outcome(g["argv"]) != g]
+    assert not mismatched, mismatched
+
+
+def test_requests_in_one_process_stay_independent():
+    """The parser is shared by every call in a process: a usage error and
+    then the golden requests in reverse order give the same outcomes."""
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(["solve", "--n", "4"])
+    assert exc.value.code == 2
+    golden = json.loads(GOLDEN.read_text())
+    mismatched = [g["argv"] for g in reversed(golden) if outcome(g["argv"]) != g]
     assert not mismatched, mismatched
 
 

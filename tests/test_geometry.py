@@ -11,6 +11,7 @@ from rankfn import (
     ConvexTable,
     EquationSpec,
     FnTable,
+    InvalidRankFunction,
     MatrixClass,
     Partition,
     RankMatrix,
@@ -315,6 +316,32 @@ def test_component_dimension_examples():
     assert component_dimension(s.rank_matrices[0]) == 20
     zero_row = RankMatrix((partition_to_rank(Partition((1,) * 5)),))
     assert component_dimension(zero_row) == 0
+
+
+def test_component_dimension_matches_conjugate_parts_on_maxima():
+    """Rank drops against squared conjugate parts of the tuple's partitions,
+    on every maximal matrix of the enumerated sets."""
+    checked = 0
+    for n in range(4, 10):
+        for k in (1, 2, 3):
+            for f in (ConvexTable.identity(n), ConvexTable.squares(n)):
+                s = enumerate_sol(n, k, f)
+                maxima = set(maximal_elements(s))
+                for t, rm in zip(s.tuples, s.rank_matrices):
+                    if rm in maxima:
+                        rows = (*t.lhs, t.rhs)
+                        assert component_dimension(rm) == sum(
+                            orbit_dimension_by_conjugate(c.nilp.parts) for c in rows)
+                        checked += 1
+    assert checked == 64  # four of the 36 sets are empty (n = 4, 5 with k = 3)
+
+
+def test_component_dimension_refuses_a_non_nilpotent_row():
+    nilpotent = class_rank(MatrixClass(Partition((2, 1))))
+    invertible_part = class_rank(MatrixClass(Partition((2,)), 1))
+    for rows in ((invertible_part,), (nilpotent, invertible_part)):
+        with pytest.raises(InvalidRankFunction):
+            component_dimension(RankMatrix(rows))
 
 
 def test_orbit_capacity_examples():
