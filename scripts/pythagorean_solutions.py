@@ -22,12 +22,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--min-n", type=int, default=2)
     ap.add_argument("--max-n", type=int, default=12)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     for n in range(args.min_n, args.max_n + 1):
         spec = EquationSpec(n=n, k=2, f=FnTable.squares(n), g=FnTable.squares(n))
-        sols = search_general(spec, budget=10**7, workers=args.workers)
+        sols = search_general(spec, budget=10**7)
         assert all(check_solution(spec, s) for s in sols)
         print(f"n = {n:2d}: {len(sols)} solution(s)")
         for s in sols:

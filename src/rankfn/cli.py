@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for a violated precondition (a structured
 error document goes to stderr), 2 for usage errors.  Identical flags give
-byte-identical output, whatever the worker count.
+byte-identical output.  The exact-matrix oracle is imported only by
+``oracle-verify``, the one verb that uses it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 from functools import cache
 
-from . import geometry, oracle
+from . import geometry
 from .core import (
     InvalidPartition,
     InvalidRankFunction,
@@ -100,7 +101,8 @@ def _sized_class(text: str, n: int) -> MatrixClass:
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV)
     if not env:
-        return oracle.DEFAULT_SEED
+        from .oracle import DEFAULT_SEED
+        return DEFAULT_SEED
     try:
         return int(env)
     except ValueError:
@@ -149,11 +151,11 @@ def _cmd_check(args) -> str:
 
 
 def _cmd_search(args) -> str:
-    if args.n >= 2 and args.k >= 1 and args.workers >= 1:
+    if args.n >= 2 and args.k >= 1:
         # refuse before any table on 0..n is built
         check_search_budget(args.n, args.k, args.budget)
     spec = _spec(args, args.k)
-    sols = search_general(spec, budget=args.budget, workers=args.workers)
+    sols = search_general(spec, budget=args.budget)
     return _dumps({
         "n": args.n,
         "k": args.k,
@@ -166,7 +168,7 @@ def _cmd_search(args) -> str:
 
 def _cmd_enumerate(args) -> str:
     f = _parse_table(args.f, args.n, convex=True)
-    s = geometry.enumerate_sol(args.n, args.k, f, budget=args.budget, workers=args.workers)
+    s = geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
     return _dumps(s.to_json())
 
 
@@ -200,8 +202,9 @@ def _cmd_hasse(args) -> str:
 
 
 def _cmd_oracle_verify(args) -> str:
+    from .oracle import verify_class_ranks
     seed = _default_seed() if args.seed is None else args.seed
-    report = oracle.verify_class_ranks(
+    report = verify_class_ranks(
         args.max_n, q_max=args.q_max, seeds=args.seeds, seed=seed)
     return _dumps(report)
 
@@ -260,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-zero", action="store_true")
     p.add_argument("--budget", type=int, default=10**6,
                    help="candidate-tuple cap; exceeding it is an error")
-    p.add_argument("--workers", type=int, default=1)
 
     p = add("enumerate", _cmd_enumerate, "all nilpotent solutions for convex f, plain sum")
     p.add_argument("--n", type=int, required=True)
@@ -268,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="id")
     p.add_argument("--budget", type=int, default=10**6,
                    help="enumeration state cap; exceeding it is an error")
-    p.add_argument("--workers", type=int, default=1)
 
     for name, handler, help_text in (
             ("components", _cmd_components, "irreducible components of the solution closure"),

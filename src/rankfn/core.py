@@ -48,10 +48,11 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(sorted(self.parts, reverse=True))
-        if any(not isinstance(p, int) or p < 1 for p in parts):
-            raise InvalidPartition(f"parts must be positive integers: {tuple(self.parts)!r}")
-        object.__setattr__(self, "parts", parts)
+        parts = tuple(self.parts)
+        # checked before sorting, which would fail on mixed types; bool is refused
+        if any(type(p) is not int or p < 1 for p in parts):
+            raise InvalidPartition(f"parts must be positive integers: {parts!r}")
+        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
 
     @property
     def n(self) -> int:
@@ -84,7 +85,7 @@ def rank_defect(seq: Sequence[int]) -> str | None:
     values = tuple(seq)
     if not values:
         return "empty sequence"
-    if any(not isinstance(v, int) or v < 0 for v in values):
+    if any(type(v) is not int or v < 0 for v in values):
         return "entries must be non-negative integers"
     n = values[0]
     if len(values) != n + 1:
@@ -145,7 +146,7 @@ class MatrixClass:
     q: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or self.q < 0:
+        if type(self.q) is not int or self.q < 0:
             raise ValueError(f"stable rank must be a non-negative integer: {self.q!r}")
 
     @property

@@ -14,7 +14,6 @@ a genuine rank function; this collapses to the single inequality
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -82,7 +81,7 @@ class FnTable:
         values = tuple(self.values)
         if not values:
             raise InvalidTable("empty table")
-        if any(not isinstance(v, int) or v < 0 for v in values):
+        if any(type(v) is not int or v < 0 for v in values):
             raise InvalidTable(f"table entries must be non-negative integers: {values!r}")
         object.__setattr__(self, "values", values)
 
@@ -270,29 +269,6 @@ def structure_check_identity(sol: SolutionTuple) -> bool:
     )
 
 
-def _search_block(args: tuple) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-    """Exhaust lhs tuples whose first coordinate lies in a chunk; returns raw
-    part tuples so results pickle cheaply across workers."""
-    spec, first_chunk, cand = args
-    points = list(spec.points())
-    fvec = {
-        p: tuple(spec.f(partition_to_rank(p).at(m)) for m in points)
-        for p in cand
-    }
-    rhs_index: dict[tuple[int, ...], list[Partition]] = {}
-    for b in cand:
-        vec = tuple(spec.g(partition_to_rank(b).at(m)) for m in points)
-        rhs_index.setdefault(vec, []).append(b)
-    out = []
-    for first in first_chunk:
-        for rest in product(cand, repeat=spec.k - 1):
-            combo = (first,) + rest
-            total = tuple(sum(col) for col in zip(*(fvec[p] for p in combo)))
-            for b in rhs_index.get(total, ()):
-                out.append((tuple(p.parts for p in combo), b.parts))
-    return out
-
-
 def check_search_budget(n: int, k: int, budget: int) -> None:
     """Refuse a search whose p(n)^(k+1) candidate tuples exceed the budget.
     Needs n >= 2 and k >= 1, but no table."""
@@ -311,26 +287,29 @@ def check_search_budget(n: int, k: int, budget: int) -> None:
                 f"p({n})^{k + 1}{below} = {total} candidate tuples exceed budget {budget}")
 
 
-def search_general(spec: EquationSpec, budget: int = 10**6, workers: int = 1) -> list[SolutionTuple]:
+def search_general(spec: EquationSpec, budget: int = 10**6) -> list[SolutionTuple]:
     """All nontrivial nilpotent tuples satisfying the equation, by exhaustion.
 
     The candidate space has p(n)^(k+1) tuples and must fit inside the
     budget; exceeding it raises rather than truncating.  Output order is
-    lexicographic on the concatenated partitions, independent of the worker
-    count.
+    lexicographic on the concatenated partitions.
     """
-    if workers < 1:
-        raise ValueError(f"need at least one worker: workers = {workers}")
     check_search_budget(spec.n, spec.k, budget)
     cand = [p for p in partitions_of(spec.n) if nontrivial_blocks(p)]
-    if workers > 1 and len(cand) > 1:
-        chunks = [cand[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            blocks = list(pool.map(_search_block, [(spec, c, cand) for c in chunks]))
-        raw = [item for block in blocks for item in block]
-    else:
-        raw = _search_block((spec, cand, cand))
+    points = list(spec.points())
+    fvec = {
+        p: tuple(spec.f(partition_to_rank(p).at(m)) for m in points)
+        for p in cand
+    }
+    rhs_index: dict[tuple[int, ...], list[Partition]] = {}
+    for b in cand:
+        vec = tuple(spec.g(partition_to_rank(b).at(m)) for m in points)
+        rhs_index.setdefault(vec, []).append(b)
+    raw = []
+    for combo in product(cand, repeat=spec.k):
+        total = tuple(sum(col) for col in zip(*(fvec[p] for p in combo)))
+        for b in rhs_index.get(total, ()):
+            raw.append((tuple(p.parts for p in combo), b.parts))
     raw.sort()
     return [
         SolutionTuple.from_partitions([Partition(p) for p in lhs_parts], Partition(rhs_parts))

@@ -11,7 +11,6 @@ coordinate and yields a cheap capacity upper bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -132,17 +131,7 @@ class SolSet:
         }
 
 
-def _solve_block(args: tuple) -> list[tuple[tuple[Partition, ...], Partition]]:
-    f, chunk = args
-    out = []
-    for lhs in chunk:
-        rhs = solve_nilpotent(f, lhs)
-        assert rhs is not None  # chunks only ever hold feasible tuples
-        out.append((lhs, rhs))
-    return out
-
-
-def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6, workers: int = 1) -> SolSet:
+def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6) -> SolSet:
     """Enumerate every nontrivial nilpotent solution of the plain-sum
     equation with left-hand table f.
 
@@ -155,8 +144,6 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6, workers: 
         raise ValueError(f"matrix size must be at least 2: n = {n}")
     if k < 1:
         raise ValueError(f"need at least one left-hand coordinate: k = {k}")
-    if workers < 1:
-        raise ValueError(f"need at least one worker: workers = {workers}")
     if len(f.values) < n + 1:
         raise InvalidTable(f"f table must cover 0..{n}")
     cand = [p for p in partitions_of(n) if nontrivial_blocks(p)]
@@ -183,16 +170,11 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6, workers: 
 
     grow((), 0)
 
-    if workers > 1 and len(feasible) > 1:
-        chunks = [feasible[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            blocks = list(pool.map(_solve_block, [(f, c) for c in chunks]))
-        pairs = [item for block in blocks for item in block]
-    else:
-        pairs = _solve_block((f, feasible))
-
-    sols = [SolutionTuple.from_partitions(lhs, rhs) for lhs, rhs in pairs]
+    sols = []
+    for lhs in feasible:
+        rhs = solve_nilpotent(f, lhs)
+        assert rhs is not None  # the pruned walk only keeps feasible tuples
+        sols.append(SolutionTuple.from_partitions(lhs, rhs))
     sols.sort(key=lambda s: tuple(c.nilp.parts for c in s.lhs) + (s.rhs.nilp.parts,))
     return SolSet(n=n, k=k, f=f, tuples=tuple(sols))
 

@@ -195,15 +195,6 @@ def test_repeated_runs_are_byte_identical():
     assert cli_bytes(*args) == cli_bytes(*args)
 
 
-def test_worker_count_does_not_change_bytes():
-    one = cli_bytes("enumerate", "--n", "6", "--k", "2", "--workers", "1")
-    two = cli_bytes("enumerate", "--n", "6", "--k", "2", "--workers", "2")
-    assert one == two
-    s_one = cli_bytes("search", "--n", "5", "--k", "2", "--workers", "1")
-    s_two = cli_bytes("search", "--n", "5", "--k", "2", "--workers", "2")
-    assert s_one == s_two
-
-
 # ---------------------------------------------------------------- exit codes
 
 def test_error_exit_code_and_document(capsys):
@@ -293,17 +284,13 @@ def test_oracle_verify_refuses_before_work(capsys, flags, error):
     assert json.loads(err)["error"] == error
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "--n", "6", "--k", "2", "--workers", "0"],
-    ["enumerate", "--n", "6", "--k", "2", "--workers", "-3"],
-    ["search", "--n", "5", "--k", "2", "--workers", "0"],
-    ["search", "--n", "5", "--k", "2", "--workers", "-5"],
-])
-def test_workers_below_one_are_refused(argv, capsys):
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.endswith("\n") and err.count("\n") == 1
-    assert json.loads(err)["error"] == "ValueError"
+@pytest.mark.parametrize("verb", ["enumerate", "search"])
+def test_workers_flag_is_a_usage_error(verb, capsys):
+    """enumerate and search run in one process; --workers is no longer a flag."""
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--n", "6", "--k", "2", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():
@@ -430,8 +417,6 @@ def verb_requests(draw):
     argv = [verb, *_flags(n=n, k=k, f=draw(TABLES), budget=budget)]
     if verb == "search":
         argv += ["--g", draw(TABLES)]
-    if verb in ("search", "enumerate"):
-        argv += _flags(workers=draw(st.sampled_from([1, 1, 1, 0, -1])))
     return argv
 
 

@@ -46,6 +46,14 @@ def test_partition_rejects_nonpositive_parts(bad):
         Partition(bad)
 
 
+@pytest.mark.parametrize("bad", [("a", 1), (2, None), (2.0,), (True,), (2, False), ("3",)])
+def test_partition_rejects_non_integer_parts(bad):
+    """Checked before sorting, so mixed types raise InvalidPartition, not
+    TypeError; a bool is not taken for an int."""
+    with pytest.raises(InvalidPartition):
+        Partition(bad)
+
+
 def test_partition_parse_and_str():
     assert Partition.parse("3,2,1") == Partition((3, 2, 1))
     assert Partition.parse("") == Partition(())
@@ -114,6 +122,8 @@ def test_rank_function_rejects_invalid():
         RankFunction((4, 3, 0, 0, 0))
     with pytest.raises(InvalidRankFunction):
         RankFunction((3, 1, 0))
+    with pytest.raises(InvalidRankFunction):
+        RankFunction((True, False))
 
 
 def test_validity_equals_realizability_exhaustive():
@@ -224,6 +234,9 @@ def test_nontrivial_blocks():
 def test_matrix_class_validation_and_json():
     with pytest.raises(ValueError):
         MatrixClass(Partition((2,)), -1)
+    for q in (True, False, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            MatrixClass(Partition((2,)), q)
     c = MatrixClass(Partition((3, 1)), 2)
     assert c.size == 6
     assert not c.is_nilpotent

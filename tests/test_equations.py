@@ -57,6 +57,11 @@ def test_fn_table_is_unconstrained_beyond_shape():
         FnTable(())
     with pytest.raises(InvalidTable):
         FnTable((0, -1))
+    for bad in ((0, True), (False, 1), (0, 1.0), (0, None)):
+        with pytest.raises(InvalidTable):
+            FnTable(bad)
+        with pytest.raises(InvalidTable):
+            ConvexTable(bad)
 
 
 def test_equation_spec_validation():
@@ -295,8 +300,3 @@ def test_search_budget_is_enforced():
     spec = id_spec(8, 2)
     with pytest.raises(BudgetExceeded):
         search_general(spec, budget=100)
-
-
-def test_search_workers_do_not_change_output():
-    spec = EquationSpec(n=7, k=2, f=FnTable.squares(7), g=FnTable.squares(7))
-    assert search_general(spec, workers=1) == search_general(spec, workers=3)

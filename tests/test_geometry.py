@@ -216,11 +216,6 @@ def test_enumerate_sol_budget():
         enumerate_sol(9, 3, ConvexTable.identity(9), budget=3)
 
 
-def test_enumerate_sol_workers_do_not_change_output():
-    f = ConvexTable.identity(7)
-    assert enumerate_sol(7, 2, f, workers=2) == enumerate_sol(7, 2, f, workers=1)
-
-
 # ---------------------------------------------------------------- components
 
 def test_maximal_elements_n5():

@@ -1,9 +1,15 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+a CLI process loads neither the process machinery nor the oracle."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import rankfn
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rankfn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -30,3 +36,42 @@ def test_module_uses_every_import(path):
 
 def test_unused_import_is_caught():
     assert unused_imports("import os\nfrom typing import Sequence\nos.sep\n") == ["Sequence"]
+
+
+def fresh_modules(code):
+    """sys.modules of a fresh interpreter after it runs code, one name a line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules, sep='\\n')"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_leaves_pool_and_oracle_unloaded():
+    loaded = fresh_modules("import rankfn.cli")
+    assert "rankfn.cli" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing", "rankfn.oracle"}
+
+
+def test_oracle_names_load_on_first_use():
+    loaded = fresh_modules("from rankfn import ExactMatrix, verify_class_ranks")
+    assert "rankfn.oracle" in loaded
+    from rankfn.oracle import ExactMatrix, verify_class_ranks
+    assert rankfn.ExactMatrix is ExactMatrix
+    assert rankfn.verify_class_ranks is verify_class_ranks
+
+
+def test_every_exported_name_resolves():
+    assert len(set(rankfn.__all__)) == len(rankfn.__all__)
+    for name in rankfn.__all__:
+        assert getattr(rankfn, name) is not None, name
+    namespace = {}
+    exec("from rankfn import *", namespace)
+    assert set(rankfn.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rankfn.no_such_name
+    assert not hasattr(rankfn, "DEFAULT_SEED")
