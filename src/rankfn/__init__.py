@@ -6,78 +6,20 @@ geometry (components, dimensions, linear capacity), and an exact rational
 matrix engine for replaying everything on literal matrices.
 """
 
-from .core import (
-    InvalidPartition,
-    InvalidRankFunction,
-    MatrixClass,
-    Partition,
-    RankFunction,
-    class_rank,
-    conjugate,
-    dominates,
-    is_valid_rank_function,
-    nontrivial_blocks,
-    partition_count,
-    partition_to_rank,
-    partitions_of,
-    rank_to_class,
-    rank_to_partition,
-)
-from .equations import (
-    BudgetExceeded,
-    ConvexTable,
-    EquationSpec,
-    FnTable,
-    InvalidTable,
-    SolutionTuple,
-    check_solution,
-    search_general,
-    solve_nilpotent,
-    solve_with_stable_ranks,
-    structure_check_identity,
-)
-from .geometry import (
-    Component,
-    DominatingTuple,
-    RankMatrix,
-    SolSet,
-    component_dimension,
-    components_capacity,
-    dominating_tuple,
-    enumerate_sol,
-    hasse_dot,
-    irreducible_components,
-    is_irreducible,
-    maximal_elements,
-    orbit_capacity,
-    orbit_dimension,
-    rank_matrix,
-    rm_leq,
-    sol_capacity,
-)
+from . import core, equations, geometry
+from .core import *
+from .equations import *
+from .geometry import *
 
 # The exact-matrix oracle is imported on first use of one of its names
 # (PEP 562), so a process that never replays a matrix does not load it.
+# The list is written out because reading oracle.__all__ would import it.
 _ORACLE_NAMES = (
     "ExactMatrix", "direct_sum", "exact_rank", "jordan_matrix",
     "matrix_rank_function", "random_conjugate", "verify_class_ranks",
 )
 
-__all__ = [
-    "InvalidPartition", "InvalidRankFunction", "MatrixClass", "Partition",
-    "RankFunction", "class_rank", "conjugate", "dominates",
-    "is_valid_rank_function", "nontrivial_blocks", "partition_count",
-    "partition_to_rank", "partitions_of", "rank_to_class", "rank_to_partition",
-    "BudgetExceeded", "ConvexTable", "EquationSpec", "FnTable", "InvalidTable",
-    "SolutionTuple", "check_solution", "search_general", "solve_nilpotent",
-    "solve_with_stable_ranks", "structure_check_identity",
-    "Component", "DominatingTuple", "RankMatrix", "SolSet",
-    "component_dimension", "components_capacity", "dominating_tuple",
-    "enumerate_sol", "hasse_dot", "irreducible_components", "is_irreducible",
-    "maximal_elements", "orbit_capacity", "orbit_dimension", "rank_matrix",
-    "rm_leq", "sol_capacity",
-    *_ORACLE_NAMES,
-]
+__all__ = [*core.__all__, *equations.__all__, *geometry.__all__, *_ORACLE_NAMES]
 
 __version__ = "0.1.0"
 

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache
 
 from . import geometry
 from .core import (
-    InvalidPartition,
-    InvalidRankFunction,
     MatrixClass,
     Partition,
     RankFunction,
@@ -31,7 +28,6 @@ from .equations import (
     ConvexTable,
     EquationSpec,
     FnTable,
-    InvalidTable,
     SolutionTuple,
     check_search_budget,
     check_solution,
@@ -40,15 +36,7 @@ from .equations import (
     solve_with_stable_ranks,
 )
 
-SEED_ENV = "RANKFN_SEED"
-
-_ERRORS = (
-    InvalidPartition,
-    InvalidRankFunction,
-    InvalidTable,
-    BudgetExceeded,
-    ValueError,
-)
+_ERRORS = (ValueError, BudgetExceeded)
 
 
 def _parse_values(text: str) -> tuple[int, ...]:
@@ -96,17 +84,6 @@ def _sized_class(text: str, n: int) -> MatrixClass:
     if c.size != n:
         raise ValueError(f"class {text!r} has size {c.size}, expected n = {n}")
     return c
-
-
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV)
-    if not env:
-        from .oracle import DEFAULT_SEED
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"${SEED_ENV} must be an integer: {env!r}") from None
 
 
 def _dumps(obj) -> str:
@@ -166,16 +143,17 @@ def _cmd_search(args) -> str:
     })
 
 
-def _cmd_enumerate(args) -> str:
+def _sol_set(args) -> geometry.SolSet:
     f = _parse_table(args.f, args.n, convex=True)
-    s = geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
-    return _dumps(s.to_json())
+    return geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
+
+
+def _cmd_enumerate(args) -> str:
+    return _dumps(_sol_set(args).to_json())
 
 
 def _cmd_components(args) -> str:
-    f = _parse_table(args.f, args.n, convex=True)
-    s = geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
-    comps = geometry.irreducible_components(s)
+    comps = geometry.irreducible_components(_sol_set(args))
     return _dumps({
         "count": len(comps),
         "dimensions": [c.dimension for c in comps],
@@ -186,15 +164,11 @@ def _cmd_components(args) -> str:
 
 
 def _cmd_capacity(args) -> str:
-    f = _parse_table(args.f, args.n, convex=True)
-    s = geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
-    return _dumps({"capacity": str(geometry.sol_capacity(s))})
+    return _dumps({"capacity": str(geometry.sol_capacity(_sol_set(args)))})
 
 
 def _cmd_dominating_tuple(args) -> str:
-    f = _parse_table(args.f, args.n, convex=True)
-    s = geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
-    return _dumps(geometry.dominating_tuple(s).to_json())
+    return _dumps(geometry.dominating_tuple(_sol_set(args)).to_json())
 
 
 def _cmd_hasse(args) -> str:
@@ -202,8 +176,8 @@ def _cmd_hasse(args) -> str:
 
 
 def _cmd_oracle_verify(args) -> str:
-    from .oracle import verify_class_ranks
-    seed = _default_seed() if args.seed is None else args.seed
+    from .oracle import DEFAULT_SEED, verify_class_ranks
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     report = verify_class_ranks(
         args.max_n, q_max=args.q_max, seeds=args.seeds, seed=seed)
     return _dumps(report)
@@ -292,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5,
                    help="random conjugations per case")
     p.add_argument("--seed", type=int,
-                   help=f"base seed (default from ${SEED_ENV} if set)")
+                   help="base seed (default 0)")
 
     return parser
 

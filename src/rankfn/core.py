@@ -165,10 +165,6 @@ class MatrixClass:
     def to_json(self) -> dict:
         return {"nilp": list(self.nilp.parts), "q": self.q}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MatrixClass":
-        return cls(Partition(tuple(int(v) for v in obj["nilp"])), int(obj.get("q", 0)))
-
 
 def partition_to_rank(p: Partition) -> RankFunction:
     """Rank function of the nilpotent class with Jordan partition p.

@@ -177,13 +177,6 @@ class SolutionTuple:
     def to_json(self) -> dict:
         return {"lhs": [c.to_json() for c in self.lhs], "rhs": self.rhs.to_json()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SolutionTuple":
-        return cls(
-            tuple(MatrixClass.from_json(c) for c in obj["lhs"]),
-            MatrixClass.from_json(obj["rhs"]),
-        )
-
 
 def check_solution(spec: EquationSpec, sol: SolutionTuple) -> bool:
     """Does the tuple satisfy the equation at every evaluation power?"""

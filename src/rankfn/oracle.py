@@ -82,11 +82,6 @@ class ExactMatrix:
     def to_json(self) -> dict:
         return {"n": self.n, "entries": [[str(e) for e in row] for row in self.entries]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExactMatrix":
-        return cls(int(obj["n"]), tuple(
-            tuple(Fraction(s) for s in row) for row in obj["entries"]))
-
 
 def _reduce(rows) -> tuple[list[list[int]], int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer

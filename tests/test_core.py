@@ -240,7 +240,7 @@ def test_matrix_class_validation_and_json():
     c = MatrixClass(Partition((3, 1)), 2)
     assert c.size == 6
     assert not c.is_nilpotent
-    assert MatrixClass.from_json(c.to_json()) == c
+    assert c.to_json() == {"nilp": [3, 1], "q": 2}
     assert MatrixClass(Partition((1, 1))).is_zero
     assert not MatrixClass(Partition((1, 1)), 1).is_zero
 

@@ -88,13 +88,6 @@ def test_solution_tuple_validation():
         SolutionTuple((MatrixClass(Partition((1, 1, 1))),), a)  # zero class
 
 
-def test_solution_tuple_json_round_trip():
-    sol = SolutionTuple(
-        (MatrixClass(Partition((2, 1)), 1), MatrixClass(Partition((1, 1, 1)), 1)),
-        MatrixClass(Partition((2,)), 2))
-    assert SolutionTuple.from_json(sol.to_json()) == sol
-
-
 # ---------------------------------------------------------------- checking
 
 def test_check_solution_worked_example():

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-a CLI process loads neither the process machinery nor the oracle."""
+"""Every name a module of the package imports is used in that module, the
+package declares each export once, and a CLI process loads neither the
+process machinery nor the oracle."""
 
 import ast
 import os
@@ -75,3 +76,14 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rankfn.no_such_name
     assert not hasattr(rankfn, "DEFAULT_SEED")
+
+
+def test_package_exports_are_the_module_lists():
+    """Each public name is declared once, in its module's __all__."""
+    from rankfn import core, equations, geometry
+    declared = [*core.__all__, *equations.__all__, *geometry.__all__]
+    assert rankfn.__all__ == [*declared, *rankfn._ORACLE_NAMES]
+    assert len(set(rankfn.__all__)) == len(rankfn.__all__)
+    init = ast.parse((SRC / "__init__.py").read_text())
+    literals = {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
+    assert not literals & set(declared)
