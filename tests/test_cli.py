@@ -305,7 +305,20 @@ def test_usage_errors_exit_2():
 
 def test_seed_defaults_to_zero_whatever_the_environment(capsys, monkeypatch):
     """--seed is the only seed setting: the environment is not read."""
+    monkeypatch.setenv("RANKFN_SEED", "424242")
+    doc = run_json(capsys, "oracle-verify", "--max-n", "2",
+                   "--q-max", "0", "--seeds", "0")
+    assert doc["seed"] == 0 and doc["ok"] is True
+    monkeypatch.delenv("RANKFN_SEED")
+    doc = run_json(capsys, "oracle-verify", "--max-n", "2",
+                   "--q-max", "0", "--seeds", "0")
+    assert doc["seed"] == 0
+
+
+def test_malformed_seed_env_var(capsys, monkeypatch):
+    """A malformed $RANKFN_SEED is ignored like any other value."""
     monkeypatch.setenv("RANKFN_SEED", "abc")
+    assert run_json(capsys, "rank", "--jp", "2,1") == [3, 1, 0, 0]
     doc = run_json(capsys, "oracle-verify", "--max-n", "2",
                    "--q-max", "0", "--seeds", "0")
     assert doc["seed"] == 0 and doc["ok"] is True
