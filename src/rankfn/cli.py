@@ -24,6 +24,7 @@ from .core import (
     rank_to_class,
 )
 from .equations import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     ConvexTable,
     EquationSpec,
@@ -235,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="id")
     p.add_argument("--g", default="id")
     p.add_argument("--include-zero", action="store_true")
-    p.add_argument("--budget", type=int, default=10**6,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="candidate-tuple cap; exceeding it is an error")
 
     p = add("enumerate", _cmd_enumerate, "all nilpotent solutions for convex f, plain sum")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--f", default="id")
-    p.add_argument("--budget", type=int, default=10**6,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="enumeration state cap; exceeding it is an error")
 
     for name, handler, help_text in (
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--f", default="id")
-        p.add_argument("--budget", type=int, default=10**6)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = add("hasse", _cmd_hasse, "DOT diagram of dominance on partitions of n")
     p.add_argument("--n", type=int, required=True)

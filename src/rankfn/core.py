@@ -233,13 +233,12 @@ def nontrivial_blocks(p: Partition) -> tuple[int, ...]:
     return tuple(k for k in p.parts if k >= 2)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts bounded by max_part, largest part first,
-    in descending lexicographic order."""
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of n, largest part first, in descending lexicographic
+    order."""
     if n < 0:
         raise ValueError(f"cannot partition a negative number: {n}")
-    bound = n if max_part is None else min(max_part, n)
-    for parts in _partition_tuples(n, bound):
+    for parts in _partition_tuples(n, n):
         yield Partition(parts)
 
 

@@ -28,6 +28,7 @@ from .core import (
     rank_to_partition,
 )
 from .equations import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     ConvexTable,
     InvalidTable,
@@ -76,6 +77,11 @@ class RankMatrix:
     def n(self) -> int:
         return self.rows[0].n
 
+    @cached_property
+    def flat(self) -> tuple[int, ...]:
+        """The entries row by row, for the entrywise order."""
+        return tuple(v for row in self.rows for v in row.values)
+
     def to_json(self) -> list[list[int]]:
         return [list(r.values) for r in self.rows]
 
@@ -87,21 +93,12 @@ def rank_matrix(sol: SolutionTuple) -> RankMatrix:
     return RankMatrix(tuple(class_rank(c) for c in (*sol.lhs, sol.rhs)))
 
 
-def _flat(rm: RankMatrix) -> tuple[int, ...]:
-    """The matrix's entries row by row, for entrywise comparison."""
-    return tuple(v for row in rm.rows for v in row.values)
-
-
-def _flat_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Entrywise order on flattened rank matrices of one shape."""
-    return all(map(le, a, b))
-
-
 def rm_leq(a: RankMatrix, b: RankMatrix) -> bool:
     """Entrywise order: a's tuple degenerates into b's closure."""
-    if len(a.rows) != len(b.rows) or a.n != b.n:
+    # equal row counts and equal entry counts mean equal row sizes
+    if len(a.rows) != len(b.rows) or len(a.flat) != len(b.flat):
         raise ValueError("rank matrices must have matching shape")
-    return _flat_leq(_flat(a), _flat(b))
+    return all(map(le, a.flat, b.flat))
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ class SolSet:
         }
 
 
-def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6) -> SolSet:
+def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) -> SolSet:
     """Enumerate every nontrivial nilpotent solution of the plain-sum
     equation with left-hand table f.
 
@@ -172,9 +169,8 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = 10**6) -> SolSet
 
     sols = []
     for lhs in feasible:
-        rhs = solve_nilpotent(f, lhs)
-        assert rhs is not None  # the pruned walk only keeps feasible tuples
-        sols.append(SolutionTuple.from_partitions(lhs, rhs))
+        # the walk keeps only tuples within the criterion, so B always exists
+        sols.append(SolutionTuple.from_partitions(lhs, solve_nilpotent(f, lhs)))
     sols.sort(key=lambda s: tuple(c.nilp.parts for c in s.lhs) + (s.rhs.nilp.parts,))
     return SolSet(n=n, k=k, f=f, tuples=tuple(sols))
 
@@ -188,15 +184,14 @@ def maximal_elements(s: SolSet) -> list[RankMatrix]:
     larger entry sum and is swept first; a non-maximal matrix therefore
     always meets a kept maximum above it.
     """
-    flats = [_flat(rm) for rm in s.rank_matrices]
-    kept: list[tuple[int, ...]] = []
-    is_max = [False] * len(flats)
-    for i in sorted(range(len(flats)), key=lambda i: -sum(flats[i])):
-        a = flats[i]
-        if not any(_flat_leq(a, top) for top in kept):
-            kept.append(a)
+    rms = s.rank_matrices
+    kept: list[RankMatrix] = []
+    is_max = [False] * len(rms)
+    for i in sorted(range(len(rms)), key=lambda i: -sum(rms[i].flat)):
+        if not any(rm_leq(rms[i], top) for top in kept):
+            kept.append(rms[i])
             is_max[i] = True
-    return [rm for rm, keep in zip(s.rank_matrices, is_max) if keep]
+    return [rm for rm, keep in zip(rms, is_max) if keep]
 
 
 @dataclass(frozen=True)
@@ -205,7 +200,10 @@ class Component:
     rank matrix."""
 
     max_rm: RankMatrix
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        return component_dimension(self.max_rm)
 
     @property
     def capacity(self) -> Fraction:
@@ -228,19 +226,13 @@ def is_irreducible(s: SolSet) -> bool:
     rms = s.rank_matrices
     if not rms:
         return False
-    top = max(rms, key=lambda rm: sum(_flat(rm)))
+    top = max(rms, key=lambda rm: sum(rm.flat))
     return all(rm_leq(rm, top) for rm in rms)
 
 
 def irreducible_components(s: SolSet) -> list[Component]:
-    """One component per maximal rank matrix, with dimension and capacity."""
-    comps = []
-    for rm in maximal_elements(s):
-        comps.append(Component(max_rm=rm, dimension=component_dimension(rm)))
-    # single component and existence of a greatest element are the same thing;
-    # is_irreducible finds the latter by another route, so cross-check here
-    assert (len(comps) == 1) == is_irreducible(s)
-    return comps
+    """One component per maximal rank matrix, in set order."""
+    return [Component(rm) for rm in maximal_elements(s)]
 
 
 def _rank_orbit_dimension(r: RankFunction) -> int:
@@ -286,7 +278,11 @@ class DominatingTuple:
     """Least coordinatewise upper bound of a solution set's rank matrices."""
 
     partitions: tuple[Partition, ...]
-    is_full_block: tuple[bool, ...]
+
+    @property
+    def is_full_block(self) -> tuple[bool, ...]:
+        """Whether each coordinate is the single-block class."""
+        return tuple(len(p.parts) == 1 for p in self.partitions)
 
     def capacity_upper_bound(self) -> Fraction:
         """Half the summed orbit dimensions; caps the solution-set capacity."""
@@ -303,17 +299,14 @@ class DominatingTuple:
 def dominating_tuple(s: SolSet) -> DominatingTuple:
     """Pointwise maximum of the rank functions at each coordinate.  The max
     of valid rank functions is again one, so each coordinate names a
-    partition; a flag records whether it is the full single-block one."""
+    partition."""
     if not s.tuples:
         raise ValueError("empty solution set has no dominating tuple")
-    parts, flags = [], []
+    parts = []
     for i in range(s.k + 1):
         rows = [rm.rows[i].values for rm in s.rank_matrices]
-        lub = RankFunction(tuple(max(col) for col in zip(*rows)))
-        p = rank_to_partition(lub)
-        parts.append(p)
-        flags.append(p.parts == (s.n,))
-    return DominatingTuple(partitions=tuple(parts), is_full_block=tuple(flags))
+        parts.append(rank_to_partition(RankFunction(tuple(max(col) for col in zip(*rows)))))
+    return DominatingTuple(tuple(parts))
 
 
 def _covers(lam: tuple[int, ...]) -> list[tuple[int, ...]]:

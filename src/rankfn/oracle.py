@@ -45,16 +45,16 @@ class ExactMatrix:
     """Square rational matrix stored once: integer ``rows`` over one
     denominator ``den``.  Rational entries (ints, Fractions, Fraction
     strings) are accepted and brought to lowest terms, ``den > 0`` and
-    gcd(rows, den) == 1, so equal matrices compare and hash equal."""
+    gcd(rows, den) == 1, so equal matrices compare and hash equal.  The
+    size ``n`` is the number of rows."""
 
-    n: int
     rows: tuple[tuple[int, ...], ...]
     den: int = 1
 
     def __post_init__(self) -> None:
         rows = [[e if isinstance(e, int) else Fraction(e) for e in row] for row in self.rows]
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
-            raise ValueError(f"entries must form an {self.n} x {self.n} matrix")
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError(f"entries must form a square matrix of {len(rows)} rows")
         if not self.den:
             raise ValueError("denominator must be nonzero")
         scale = lcm(*(e.denominator for row in rows for e in row))
@@ -67,17 +67,16 @@ class ExactMatrix:
         object.__setattr__(self, "den", den // g)
 
     @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
 
     @classmethod
-    def from_rows(cls, rows) -> "ExactMatrix":
-        rows = tuple(tuple(row) for row in rows)
-        return cls(len(rows), rows)
-
-    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "entries": [[str(e) for e in row] for row in self.entries]}
@@ -158,7 +157,7 @@ def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMa
         block = _random_invertible(random.Random(seed), q)
         for i in range(q):
             rows[offset + i][offset:] = block[i]
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix(rows)
 
 
 def exact_rank(m: ExactMatrix) -> int:
@@ -192,7 +191,7 @@ def random_conjugate(m: ExactMatrix, seed: int = DEFAULT_SEED) -> ExactMatrix:
     """
     u = _random_invertible(random.Random(seed), m.n)
     adj, det = _adjugate(u)
-    return ExactMatrix(m.n, _int_matmul(_int_matmul(adj, m.rows), u), det * m.den)
+    return ExactMatrix(_int_matmul(_int_matmul(adj, m.rows), u), det * m.den)
 
 
 def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -200,7 +199,7 @@ def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     den = lcm(a.den, b.den)
     rows = [[x * (den // a.den) for x in row] + [0] * b.n for row in a.rows]
     rows += [[0] * a.n + [x * (den // b.den) for x in row] for row in b.rows]
-    return ExactMatrix(a.n + b.n, rows, den)
+    return ExactMatrix(rows, den)
 
 
 def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,

@@ -260,11 +260,6 @@ def test_partition_count_does_not_recurse():
     assert partition_count(-1) == 0
 
 
-def test_partitions_of_max_part():
-    assert [p.parts for p in partitions_of(5, max_part=2)] == \
-        [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
-
-
 def test_rank_function_at_extends_constant_tail():
     r = class_rank(MatrixClass(Partition((2,)), 1))
     assert r.values == (3, 2, 1, 1)

@@ -223,16 +223,20 @@ def test_solve_with_stable_ranks_reduces_to_nilpotent():
 
 
 def test_solve_with_stable_ranks_none_when_tail_exceeds_n():
-    """A transformed stable-rank sum above n always fails the criterion."""
+    """A transformed stable-rank sum above n always fails the criterion;
+    otherwise a solution's stable rank is that sum."""
     for n in range(2, 6):
-        f = ConvexTable.identity(n)
         classes = [MatrixClass(p, q)
                    for q in range(n + 1) for p in partitions_of(n - q)]
         classes = [c for c in classes if not c.is_zero]
-        for c1 in classes:
-            for c2 in classes:
-                if f(c1.q) + f(c2.q) > n:
-                    assert solve_with_stable_ranks(f, [c1, c2]) is None
+        for f in (ConvexTable.identity(n), ConvexTable.squares(n)):
+            for c1 in classes:
+                for c2 in classes:
+                    out = solve_with_stable_ranks(f, [c1, c2])
+                    if f(c1.q) + f(c2.q) > n:
+                        assert out is None
+                    elif out is not None:
+                        assert out.q == f(c1.q) + f(c2.q)
 
 
 def test_structure_check_identity():

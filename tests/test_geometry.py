@@ -8,7 +8,9 @@ from helpers import all_pairs_maxima, has_greatest, orbit_dimension_by_conjugate
 
 from rankfn import (
     BudgetExceeded,
+    Component,
     ConvexTable,
+    DominatingTuple,
     EquationSpec,
     FnTable,
     InvalidRankFunction,
@@ -256,6 +258,7 @@ def test_is_irreducible_equals_some_matrix_dominating_all():
     for s in sweep_cases():
         got = is_irreducible(s)
         assert got == has_greatest([rm.to_json() for rm in s.rank_matrices])
+        assert (len(irreducible_components(s)) == 1) == got
         seen.add(got)
     assert seen == {True, False}
 
@@ -268,6 +271,15 @@ def test_irreducible_components_frozen_small_cases():
     assert sorted(c.dimension for c in comps5) == [38, 38]
     assert is_irreducible(enumerate_sol(4, 2, ConvexTable.identity(4)))
     assert not is_irreducible(enumerate_sol(5, 2, ConvexTable.identity(5)))
+
+
+def test_component_derives_dimension_and_capacity():
+    rm = rank_matrix(worked_tuple_n10())
+    comp = Component(rm)
+    # rows (10,2,0..), (10,3,1,0..), (10,5,1,0..): 100 minus the squared rank drops
+    assert comp.dimension == component_dimension(rm) == 32 + 46 + 58
+    assert comp.capacity == Fraction(68)
+    assert comp.to_json() == {"max_rm": rm.to_json(), "dimension": 136, "capacity": "68"}
 
 
 def test_component_maxima_round_trip():
@@ -390,6 +402,16 @@ def test_dominating_tuple_full_block_flag():
     dt = dominating_tuple(s)
     assert dt.is_full_block == (True, True)
     assert [p.parts for p in dt.partitions] == [(4,), (4,)]
+
+
+def test_dominating_tuple_derives_full_block_flags():
+    dt = DominatingTuple((Partition((4,)), Partition((3, 1))))
+    assert dt.is_full_block == (True, False)
+    assert dt.to_json() == {
+        "partitions": [[4], [3, 1]],
+        "full_block": [True, False],
+        "capacity_upper_bound": "11",
+    }
 
 
 def test_dominating_tuple_empty_raises():

@@ -69,7 +69,7 @@ def test_random_conjugate_is_textbook_conjugate(n):
              for _ in range(n)]
         u = _random_invertible(random.Random(seed), n)
         want = frac_matmul(frac_matmul(frac_inverse(u), m), u)
-        got = random_conjugate(ExactMatrix(n, tuple(map(tuple, m))), seed=seed)
+        got = random_conjugate(ExactMatrix(m), seed=seed)
         assert got.entries == tuple(map(tuple, want))
 
 
@@ -104,13 +104,13 @@ def test_jordan_matrix_seeded_reproducibility():
 
 def test_exact_rank_literal_examples():
     assert exact_rank(ExactMatrix.identity(4)) == 4
-    assert exact_rank(ExactMatrix.from_rows([
+    assert exact_rank(ExactMatrix([
         (F(1), F(2)), (F(2), F(4))])) == 1
-    assert exact_rank(ExactMatrix.from_rows([
+    assert exact_rank(ExactMatrix([
         (F(1, 2), F(1, 3)), (F(1, 5), F(1, 7))])) == 2
-    assert exact_rank(ExactMatrix.from_rows([
+    assert exact_rank(ExactMatrix([
         (F(1, 2), F(1, 4)), (F(2), F(1))])) == 1
-    assert exact_rank(ExactMatrix.from_rows([(F(0), F(0)), (F(0), F(0))])) == 0
+    assert exact_rank(ExactMatrix([(F(0), F(0)), (F(0), F(0))])) == 0
 
 
 def _ints(rng, nr, nc):
@@ -133,13 +133,13 @@ def test_int_rank_agrees_with_gauss_jordan():
     for _ in range(50):
         n = rng.randint(1, 6)
         rows = _ints(rng, n, n)
-        m = ExactMatrix.from_rows([[F(v) for v in row] for row in rows])
+        m = ExactMatrix([[F(v) for v in row] for row in rows])
         assert exact_rank(m) == frac_rank(rows)
     for _ in range(100):
         rows = _low_rank(rng, rng.randint(1, 7), rng.randint(1, 7))
         assert len(_reduce(rows)[0]) == frac_rank(rows)
         if len(rows) == len(rows[0]):
-            assert exact_rank(ExactMatrix.from_rows(rows)) == frac_rank(rows)
+            assert exact_rank(ExactMatrix(rows)) == frac_rank(rows)
 
 
 def test_basis_rows_are_primitive_and_scale_free():
@@ -183,7 +183,7 @@ def test_matrix_rank_function_matches_literal_powers(kind):
             for i in range(s, n):  # a random, usually invertible, block
                 m[i][s:] = _rational(rng, 1, n - s)[0]
             m = _conjugated(rng, m)
-        got = matrix_rank_function(ExactMatrix(n, tuple(map(tuple, m))))
+        got = matrix_rank_function(ExactMatrix(m))
         assert got == literal_power_ranks(m), m
 
 
@@ -218,7 +218,7 @@ def test_conjugation_by_identity_like_seeds_is_still_similar():
 
 
 def test_direct_sum_rank_additivity():
-    a = ExactMatrix.from_rows([(F(1), F(2)), (F(2), F(4))])
+    a = ExactMatrix([(F(1), F(2)), (F(2), F(4))])
     b = ExactMatrix.identity(3)
     s = direct_sum(a, b)
     assert s.n == 5
@@ -252,32 +252,35 @@ def test_solver_output_replayed_on_matrices():
 
 
 def test_exact_matrix_json_round_trip():
-    m = ExactMatrix.from_rows([(F(1, 2), F(-3)), (F(0), F(7, 5))])
+    m = ExactMatrix([(F(1, 2), F(-3)), (F(0), F(7, 5))])
     blob = m.to_json()
     assert blob["entries"][0][0] == "1/2" and blob["entries"][1][1] == "7/5"
 
 
 def test_exact_matrix_shape_validation():
     with pytest.raises(ValueError):
-        ExactMatrix(2, ((F(1),),))
+        ExactMatrix(((1, 2),))
     with pytest.raises(ValueError):
-        ExactMatrix(1, ((1,),), 0)
+        ExactMatrix(((1, 2), (3,)))
+    with pytest.raises(ValueError):
+        ExactMatrix(((1,),), 0)
+    assert ExactMatrix(((1, 2), (3, 4))).n == 2 and ExactMatrix(()).n == 0
 
 
 def test_exact_matrix_canonical_form():
     """However a matrix is written, it is stored as one lowest-terms pair."""
-    want = ExactMatrix(2, ((F(1, 2), F(1)), (F(0), F(-3, 2))))
+    want = ExactMatrix(((F(1, 2), F(1)), (F(0), F(-3, 2))))
     assert want.rows == ((1, 2), (0, -3)) and want.den == 2
     for m in (
-        ExactMatrix(2, ((F(2, 4), 1), (0, F(-6, 4)))),
-        ExactMatrix(2, (("1/2", F(4, 4)), (0, "-3/2"))),
-        ExactMatrix(2, ((2, 4), (0, -6)), 4),
-        ExactMatrix(2, ((-1, -2), (0, 3)), -2),
-        ExactMatrix(2, ((F(-3, 2), -3), (0, F(9, 2))), -3),
+        ExactMatrix(((F(2, 4), 1), (0, F(-6, 4)))),
+        ExactMatrix((("1/2", F(4, 4)), (0, "-3/2"))),
+        ExactMatrix(((2, 4), (0, -6)), 4),
+        ExactMatrix(((-1, -2), (0, 3)), -2),
+        ExactMatrix(((F(-3, 2), -3), (0, F(9, 2))), -3),
     ):
         assert m == want and hash(m) == hash(want) and m.to_json() == want.to_json()
-    zero = ExactMatrix(2, ((0, 0), (0, 0)), 7)
-    assert zero == ExactMatrix.from_rows(((0, 0), (0, 0))) and zero.den == 1
+    zero = ExactMatrix(((0, 0), (0, 0)), 7)
+    assert zero == ExactMatrix(((0, 0), (0, 0))) and zero.den == 1
 
 
 def test_verify_class_ranks_summary():
