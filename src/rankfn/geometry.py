@@ -73,10 +73,6 @@ class RankMatrix:
             raise ValueError("rows must share one size")
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def n(self) -> int:
-        return self.rows[0].n
-
     @cached_property
     def flat(self) -> tuple[int, ...]:
         """The entries row by row, for the entrywise order."""

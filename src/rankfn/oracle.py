@@ -4,9 +4,11 @@ Builds literal block matrices for a class, conjugates them by random
 integer matrices, and recomputes rank functions, with no floating point
 anywhere, so whatever the combinatorial layer claims about ranks can be
 replayed on actual matrices.  A matrix is stored once, as integer rows over
-one denominator; a single fraction-free Gauss-Jordan elimination gives
-ranks, bases and adjugates, and the ranks of powers come from the chain of
-row spaces rowspace(M^j), never from a literal power.
+one denominator; one fraction-free Gauss-Jordan elimination gives ranks and
+bases, and the ranks of powers come from the chain of row spaces
+rowspace(M^j), never from a literal power.  A random conjugate U^-1 M U is
+one elimination of [U | R U] for M = R / den: it tests U and, when U is
+nonsingular, leaves p * [I | U^-1 R U].
 """
 
 from __future__ import annotations
@@ -52,18 +54,21 @@ class ExactMatrix:
     den: int = 1
 
     def __post_init__(self) -> None:
-        rows = [[e if isinstance(e, int) else Fraction(e) for e in row] for row in self.rows]
+        rows = [tuple(row) for row in self.rows]
         if any(len(r) != len(rows) for r in rows):
             raise ValueError(f"entries must form a square matrix of {len(rows)} rows")
         if not self.den:
             raise ValueError("denominator must be nonzero")
-        scale = lcm(*(e.denominator for row in rows for e in row))
-        ints = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
-        den = self.den * scale
-        g = gcd(den, *(x for row in ints for x in row))
+        den = self.den
+        if not all(isinstance(e, int) for row in rows for e in row):
+            rows = [[Fraction(e) for e in row] for row in rows]
+            scale = lcm(*(e.denominator for row in rows for e in row))
+            rows = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
+            den *= scale
+        g = gcd(den, *(x for row in rows for x in row))
         if den < 0:
             g = -g
-        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in ints))
+        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in rows))
         object.__setattr__(self, "den", den // g)
 
     @property
@@ -79,25 +84,25 @@ class ExactMatrix:
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "entries": [[str(e) for e in row] for row in self.entries]}
+        rows = self.rows if self.den == 1 else self.entries
+        return {"n": self.n, "entries": [[str(e) for e in row] for row in rows]}
 
 
-def _reduce(rows) -> tuple[list[list[int]], int, int]:
+def _reduce(rows) -> tuple[list[list[int]], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer
-    matrix A, skipping pivotless columns: (R, p, sign) with R the nonzero rows
-    of p * rref(A), p the last pivot and sign the parity of the row swaps.
-    Every entry stays a minor of A, so each division by a pivot is exact."""
+    matrix A, skipping pivotless columns: (R, p) with R the nonzero rows of
+    p * rref(A) and p the last pivot.  Every entry stays a minor of A, so
+    each division by a pivot is exact."""
     m = [list(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    rank, prev, sign = 0, 1, 1
+    rank, prev = 0, 1
     for col in range(nc):
         piv = next((i for i in range(rank, nr) if m[i][col]), None)
         if piv is None:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
         top = m[rank]
         pivot = top[col]
         for i in range(nr):
@@ -106,7 +111,7 @@ def _reduce(rows) -> tuple[list[list[int]], int, int]:
                 m[i] = [(pivot * x - factor * y) // prev for x, y in zip(m[i], top)]
         prev = pivot
         rank += 1
-    return m[:rank], prev, sign
+    return m[:rank], prev
 
 
 def _basis(rows) -> list[list[int]]:
@@ -120,26 +125,29 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _adjugate(u: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(adj(U), det(U)) of a nonsingular integer matrix.
+def _left_divide(u: list[list[int]], b) -> tuple[list[list[int]], int] | None:
+    """(X, p) with X = p * U^-1 B for a square integer U, or None when U is
+    singular, from one _reduce of [U | B].
 
-    _reduce turns [U | I] into p * [I | U^-1] with p = sign * det(U); U is
-    singular iff the pivots leave the left block, i.e. some row i of the
-    result has a zero at column i.
+    A nonsingular U leaves p * [I | U^-1 B], with p = +-det(U) the last
+    pivot.  U is singular iff the rows run out or a pivot leaves the left
+    block, i.e. some row i of the result has a zero at column i.
     """
     n = len(u)
-    rows, p, sign = _reduce([list(row) + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(u)])
-    if any(row[i] == 0 for i, row in enumerate(rows)):
-        raise ValueError("matrix is singular")
-    return [[sign * x for x in row[n:]] for row in rows], sign * p
+    rows, p = _reduce([[*a, *c] for a, c in zip(u, b)])
+    if len(rows) < n or any(row[i] == 0 for i, row in enumerate(rows)):
+        return None
+    return [row[n:] for row in rows], p
 
 
-def _random_invertible(rng: random.Random, n: int) -> list[list[int]]:
+def _random_invertible(rng: random.Random, n: int, right=lambda u: [()] * len(u)):
+    """Draw n x n integer matrices U (entries -3..3) until one is nonsingular;
+    returns U and _left_divide(U, right(U)), by default with an empty B."""
     while True:
-        m = [[rng.randint(-_ENTRY_RANGE, _ENTRY_RANGE) for _ in range(n)] for _ in range(n)]
-        if len(_reduce(m)[0]) == n:
-            return m
+        u = [[rng.randint(-_ENTRY_RANGE, _ENTRY_RANGE) for _ in range(n)] for _ in range(n)]
+        solved = _left_divide(u, right(u))
+        if solved is not None:
+            return u, solved
 
 
 def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMatrix:
@@ -154,7 +162,7 @@ def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMa
             rows[offset + i][offset + i + 1] = 1
         offset += k
     if q:
-        block = _random_invertible(random.Random(seed), q)
+        block, _ = _random_invertible(random.Random(seed), q)
         for i in range(q):
             rows[offset + i][offset:] = block[i]
     return ExactMatrix(rows)
@@ -186,12 +194,12 @@ def matrix_rank_function(m: ExactMatrix) -> list[int]:
 def random_conjugate(m: ExactMatrix, seed: int = DEFAULT_SEED) -> ExactMatrix:
     """U^-1 M U for a seeded random integer U with nonzero determinant.
 
-    With M = R / den for integer rows R, this is adj(U) R U / (det(U) den),
-    computed on integers.
+    With M = R / den for integer rows R, one elimination of [U | R U] gives
+    p * U^-1 R U, so the result is that block over p * den.
     """
-    u = _random_invertible(random.Random(seed), m.n)
-    adj, det = _adjugate(u)
-    return ExactMatrix(_int_matmul(_int_matmul(adj, m.rows), u), det * m.den)
+    _, (block, p) = _random_invertible(random.Random(seed), m.n,
+                                       lambda u: _int_matmul(m.rows, u))
+    return ExactMatrix(block, p * m.den)
 
 
 def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -209,7 +217,10 @@ def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,
     Covers every partition of every size up to max_n paired with each
     stable rank up to q_max; when ``seeds`` is positive, each case is also
     rechecked under that many random conjugations.  Returns a summary dict
-    with the case/check/discrepancy counts and the base seed for replay.
+    with the case/check/discrepancy counts and the base seed.  When a check
+    fails, ``failures`` names each failing case for replay: its ``parts``,
+    ``q``, ``jordan_seed`` and ``conjugate_seed`` (None for the unconjugated
+    matrix), so jordan_matrix and random_conjugate rebuild the matrix.
 
     Raises ValueError for max_n < 1, q_max < 0 or seeds < 0, and
     BudgetExceeded when max_n + q_max exceeds ORACLE_MAX_SIZE or the planned
@@ -226,28 +237,34 @@ def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,
     if planned > ORACLE_MAX_CHECKS:
         raise BudgetExceeded(
             f"{planned} planned checks exceed the {ORACLE_MAX_CHECKS} cap")
-    cases = checks = bad = 0
+    cases = checks = 0
+    failures = []
     for n in range(1, max_n + 1):
         for p in partitions_of(n):
             for q in range(q_max + 1):
                 cases += 1
                 want = list(class_rank(MatrixClass(p, q)).values)
-                mat = jordan_matrix(p, q, seed=seed + 97 * cases)
-                checks += 1
-                if matrix_rank_function(mat) != want:
-                    bad += 1
-                for s in range(seeds):
-                    conj = random_conjugate(mat, seed=seed + 1009 * cases + s)
+                jordan_seed = seed + 97 * cases
+                mat = jordan_matrix(p, q, seed=jordan_seed)
+                first = seed + 1009 * cases
+                for conjugate_seed in (None, *range(first, first + seeds)):
+                    checked = (mat if conjugate_seed is None
+                               else random_conjugate(mat, seed=conjugate_seed))
                     checks += 1
-                    if matrix_rank_function(conj) != want:
-                        bad += 1
-    return {
+                    if matrix_rank_function(checked) != want:
+                        failures.append({"parts": list(p.parts), "q": q,
+                                         "jordan_seed": jordan_seed,
+                                         "conjugate_seed": conjugate_seed})
+    report = {
         "max_n": max_n,
         "q_max": q_max,
         "seeds": seeds,
         "seed": seed,
         "cases": cases,
         "checks": checks,
-        "discrepancies": bad,
-        "ok": bad == 0,
+        "discrepancies": len(failures),
+        "ok": not failures,
     }
+    if failures:
+        report["failures"] = failures
+    return report

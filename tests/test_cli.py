@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from rankfn import cli
+from rankfn import Partition, cli
 from rankfn.cli import main
 
 SCHEMAS = json.loads(
@@ -140,6 +140,34 @@ def test_oracle_verify_verb(capsys):
                    "--q-max", "1", "--seeds", "1")
     assert doc["ok"] is True
     assert doc["cases"] == 12 and doc["checks"] == 24
+    assert "failures" not in doc
+
+
+@pytest.mark.parametrize("bad_call", [9, 10])  # case 4's plain and first conjugated check
+def test_oracle_verify_names_the_failing_case(bad_call, capsys, monkeypatch):
+    """A wrong rank function on one call is reported as exactly one failure,
+    whose recorded seeds rebuild the matrix that was checked."""
+    import rankfn.oracle as oracle
+    checked = []
+    real = oracle.matrix_rank_function
+
+    def flaky(m):
+        checked.append(m)
+        ranks = real(m)
+        return ranks[:-1] + [ranks[-1] + 1] if len(checked) == bad_call + 1 else ranks
+
+    monkeypatch.setattr(oracle, "matrix_rank_function", flaky)
+    doc = run_json(capsys, "oracle-verify", "--max-n", "3", "--q-max", "1",
+                   "--seeds", "2", "--seed", "5")
+    validate("oracle-verify", doc)
+    assert doc["discrepancies"] == 1 and doc["ok"] is False
+    [failure] = doc["failures"]
+    assert (failure["conjugate_seed"] is None) == (bad_call % 3 == 0)
+    rebuilt = oracle.jordan_matrix(Partition(tuple(failure["parts"])), failure["q"],
+                                   seed=failure["jordan_seed"])
+    if failure["conjugate_seed"] is not None:
+        rebuilt = oracle.random_conjugate(rebuilt, seed=failure["conjugate_seed"])
+    assert rebuilt == checked[bad_call]
 
 
 # ---------------------------------------------------------------- schemas

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 import pytest
@@ -24,7 +25,7 @@ from rankfn import (
     verify_class_ranks,
 )
 
-from rankfn.oracle import _adjugate, _basis, _random_invertible, _reduce
+from rankfn.oracle import _basis, _int_matmul, _left_divide, _random_invertible, _reduce
 
 from helpers import frac_det, frac_inverse, frac_matmul, frac_rank, literal_power_ranks
 
@@ -43,31 +44,62 @@ def integer_matrices(draw):
     return rows
 
 
-@given(integer_matrices())
-def test_adjugate_is_det_times_inverse(rows):
-    det = frac_det(rows)
-    assume(det != 0)
-    adj, got = _adjugate(rows)
+@given(integer_matrices(), st.integers(0, 10**6))
+def test_left_divide_is_inverse_times_block(rows, seed):
+    """One elimination of [U | M U] gives p * U^-1 M U; of [U | I], p * U^-1."""
     n = len(rows)
-    assert got == det
-    assert frac_matmul(rows, adj) == [[det * (i == j) for j in range(n)] for i in range(n)]
-    assert adj == [[det * x for x in row] for row in frac_inverse(rows)]
+    m = _ints(random.Random(seed), n, n)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    det = frac_det(rows)
+    if det == 0:
+        assert _left_divide(rows, _int_matmul(m, rows)) is None
+        assert _left_divide(rows, identity) is None
+        return
+    got, p = _left_divide(rows, _int_matmul(m, rows))
+    assert abs(p) == abs(det)
+    assert [[F(x, p) for x in row] for row in got] == frac_matmul(
+        frac_matmul(frac_inverse(rows), m), rows)
+    adj, p = _left_divide(rows, identity)
+    assert adj == [[p * x for x in row] for row in frac_inverse(rows)]
 
 
-def test_adjugate_swaps_and_singular_input():
+def test_left_divide_swaps_and_singular_input():
     flip = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]  # zero leading pivot, odd permutation
-    assert _adjugate(flip) == ([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], -1)
-    with pytest.raises(ValueError):
-        _adjugate([[1, 2], [2, 4]])
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _left_divide(flip, identity) == (flip, 1)
+    assert _left_divide(flip, [[2], [3], [5]]) == ([[5], [3], [2]], 1)
+    singular = [[1, 2], [2, 4]]
+    assert _left_divide(singular, [[1, 0], [0, 1]]) is None  # a pivot leaves U's block
+    assert _left_divide(singular, [[3], [6]]) is None  # the rows run out
+    assert _left_divide(singular, [(), ()]) is None
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def _textbook_draw(seed, n):
+    """The first nonsingular U of seed's stream, by determinant, and the
+    number of draws it took."""
+    rng = random.Random(seed)
+    for draws in count(1):
+        u = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if frac_det(u) != 0:
+            return u, draws
+
+
+CONJUGATE_SIZES = (0, 1, 2, 3, 5, 8, 12)
+CONJUGATE_SEEDS = range(5)
+
+
+@pytest.mark.parametrize("n", CONJUGATE_SIZES)
 def test_random_conjugate_is_textbook_conjugate(n):
+    # The grid holds a first draw that is singular (n = 2, seeds 0 and 2), so
+    # the redraw path is checked against the determinant-based loop too.
+    assert any(_textbook_draw(seed, k)[1] > 1
+               for k in CONJUGATE_SIZES for seed in CONJUGATE_SEEDS)
     rng = random.Random(n)
-    for seed in range(5):
+    for seed in CONJUGATE_SEEDS:
         m = [[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)]
              for _ in range(n)]
-        u = _random_invertible(random.Random(seed), n)
+        u, _ = _textbook_draw(seed, n)
+        assert _random_invertible(random.Random(seed), n)[0] == u
         want = frac_matmul(frac_matmul(frac_inverse(u), m), u)
         got = random_conjugate(ExactMatrix(m), seed=seed)
         assert got.entries == tuple(map(tuple, want))
