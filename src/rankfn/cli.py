@@ -39,20 +39,19 @@ from .equations import (
 
 _ERRORS = (ValueError, BudgetExceeded)
 
+SIZE_CAP = 10_000  # largest n that solve, solve-stable, check and dominates accept
+
+
+def _check_size(n: int) -> None:
+    if n > SIZE_CAP:
+        raise BudgetExceeded(f"size n = {n} exceeds the n <= {SIZE_CAP} cap")
+
 
 def _parse_values(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.strip().split(","))
     except ValueError as exc:
         raise ValueError(f"malformed integer list: {text!r}") from exc
-
-
-def _parse_class(text: str) -> MatrixClass:
-    """'3,2:1' is nilpotent part (3,2) with stable rank 1; ':q' and plain
-    part lists work too."""
-    parts_text, _, q_text = text.partition(":")
-    q = int(q_text) if q_text.strip() else 0
-    return MatrixClass(Partition.parse(parts_text), q)
 
 
 def _parse_table(text: str, n: int, convex: bool):
@@ -81,7 +80,11 @@ def _sized_partition(text: str, n: int) -> Partition:
 
 
 def _sized_class(text: str, n: int) -> MatrixClass:
-    c = _parse_class(text)
+    """'3,2:1' is nilpotent part (3,2) with stable rank 1; ':q' and plain
+    part lists work too.  The class must have size n."""
+    parts_text, _, q_text = text.partition(":")
+    q = int(q_text) if q_text.strip() else 0
+    c = MatrixClass(Partition.parse(parts_text), q)
     if c.size != n:
         raise ValueError(f"class {text!r} has size {c.size}, expected n = {n}")
     return c
@@ -102,26 +105,27 @@ def _cmd_unrank(args) -> str:
 
 
 def _cmd_dominates(args) -> str:
-    ra = partition_to_rank(Partition.parse(args.a))
-    rb = partition_to_rank(Partition.parse(args.b))
-    return _dumps({"dominates": dominates(ra, rb)})
+    a, b = Partition.parse(args.a), Partition.parse(args.b)
+    _check_size(max(a.n, b.n))
+    return _dumps({"dominates": dominates(partition_to_rank(a), partition_to_rank(b))})
 
 
 def _cmd_solve(args) -> str:
+    _check_size(args.n)
     f = _parse_table(args.f, args.n, convex=True)
-    lhs = [_sized_partition(t, args.n) for t in args.jp]
-    rhs = solve_nilpotent(f, lhs)
+    rhs = solve_nilpotent(f, [_sized_partition(t, args.n) for t in args.jp])
     return _dumps({"rhs": None if rhs is None else list(rhs.parts)})
 
 
 def _cmd_solve_stable(args) -> str:
+    _check_size(args.n)
     f = _parse_table(args.f, args.n, convex=True)
-    lhs = [_sized_class(t, args.n) for t in args.cls]
-    rhs = solve_with_stable_ranks(f, lhs)
+    rhs = solve_with_stable_ranks(f, [_sized_class(t, args.n) for t in args.cls])
     return _dumps({"rhs": None if rhs is None else rhs.to_json()})
 
 
 def _cmd_check(args) -> str:
+    _check_size(args.n)
     lhs = [_sized_class(t, args.n) for t in args.cls]
     spec = _spec(args, len(lhs))
     sol = SolutionTuple(tuple(lhs), _sized_class(args.rhs, args.n))

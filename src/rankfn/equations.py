@@ -22,12 +22,12 @@ from .core import (
     MatrixClass,
     Partition,
     RankFunction,
+    _nontrivial_ascending,
     class_rank,
     is_valid_rank_function,
     nontrivial_blocks,
     partition_count,
     partition_to_rank,
-    partitions_of,
     rank_to_class,
 )
 
@@ -285,27 +285,19 @@ def search_general(spec: EquationSpec, budget: int = DEFAULT_BUDGET) -> list[Sol
     """All nontrivial nilpotent tuples satisfying the equation, by exhaustion.
 
     The candidate space has p(n)^(k+1) tuples and must fit inside the
-    budget; exceeding it raises rather than truncating.  Output order is
-    lexicographic on the concatenated partitions.
+    budget; exceeding it raises rather than truncating.  Candidates are taken
+    in ascending order, so the output is lexicographic on the partitions.
     """
     check_search_budget(spec.n, spec.k, budget)
-    cand = [p for p in partitions_of(spec.n) if nontrivial_blocks(p)]
+    cand = _nontrivial_ascending(spec.n)
     points = list(spec.points())
-    fvec = {
-        p: tuple(spec.f(partition_to_rank(p).at(m)) for m in points)
-        for p in cand
-    }
+    fvec = {p: tuple(spec.f(partition_to_rank(p).at(m)) for m in points) for p in cand}
     rhs_index: dict[tuple[int, ...], list[Partition]] = {}
     for b in cand:
         vec = tuple(spec.g(partition_to_rank(b).at(m)) for m in points)
         rhs_index.setdefault(vec, []).append(b)
-    raw = []
-    for combo in product(cand, repeat=spec.k):
-        total = tuple(sum(col) for col in zip(*(fvec[p] for p in combo)))
-        for b in rhs_index.get(total, ()):
-            raw.append((tuple(p.parts for p in combo), b.parts))
-    raw.sort()
     return [
-        SolutionTuple.from_partitions([Partition(p) for p in lhs_parts], Partition(rhs_parts))
-        for lhs_parts, rhs_parts in raw
+        SolutionTuple.from_partitions(combo, b)
+        for combo in product(cand, repeat=spec.k)
+        for b in rhs_index.get(tuple(sum(col) for col in zip(*(fvec[p] for p in combo))), ())
     ]

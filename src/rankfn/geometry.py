@@ -21,8 +21,8 @@ from .core import (
     InvalidRankFunction,
     Partition,
     RankFunction,
+    _nontrivial_ascending,
     class_rank,
-    nontrivial_blocks,
     partition_to_rank,
     partitions_of,
     rank_to_partition,
@@ -131,7 +131,8 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
     Solvability is additive across coordinates: the tuple works iff the
     per-partition costs 2 f(r(1)) - f(r(2)) sum to at most n.  That lets
     the k-fold product be walked with pruning instead of in full; the
-    budget caps the number of visited states.
+    budget caps the number of visited states.  The walk takes the candidates
+    in ascending order, so the tuples come out in lexicographic order.
     """
     if n < 2:
         raise ValueError(f"matrix size must be at least 2: n = {n}")
@@ -139,11 +140,8 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
         raise ValueError(f"need at least one left-hand coordinate: k = {k}")
     if len(f.values) < n + 1:
         raise InvalidTable(f"f table must cover 0..{n}")
-    cand = [p for p in partitions_of(n) if nontrivial_blocks(p)]
-    costs = []
-    for p in cand:
-        r = partition_to_rank(p)
-        costs.append(2 * f(r.at(1)) - f(r.at(2)))
+    cand = _nontrivial_ascending(n)
+    costs = [2 * f(r.at(1)) - f(r.at(2)) for r in map(partition_to_rank, cand)]
     min_cost = min(costs)
     feasible: list[tuple[Partition, ...]] = []
     visited = 0
@@ -163,12 +161,9 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
 
     grow((), 0)
 
-    sols = []
-    for lhs in feasible:
-        # the walk keeps only tuples within the criterion, so B always exists
-        sols.append(SolutionTuple.from_partitions(lhs, solve_nilpotent(f, lhs)))
-    sols.sort(key=lambda s: tuple(c.nilp.parts for c in s.lhs) + (s.rhs.nilp.parts,))
-    return SolSet(n=n, k=k, f=f, tuples=tuple(sols))
+    # the walk keeps only tuples within the criterion, so B always exists
+    return SolSet(n=n, k=k, f=f, tuples=tuple(
+        SolutionTuple.from_partitions(lhs, solve_nilpotent(f, lhs)) for lhs in feasible))
 
 
 def maximal_elements(s: SolSet) -> list[RankMatrix]:

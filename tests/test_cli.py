@@ -258,10 +258,15 @@ def test_budget_errors(capsys):
     ["search", "--n", "1000", "--k", "1", "--budget", "10"],
     ["search", "--n", "3", "--k", "100000000", "--budget", "10"],
     ["search", "--n", "1000000", "--k", "1", "--budget", "1000000000000"],
+    # over the size cap of the single-answer verbs
+    ["solve", "--n", "1000000", "--jp", "999999,1"],
+    ["solve-stable", "--n", "1000000", "--cls", "999999:1", "--cls", "999998,1:1"],
+    ["check", "--n", "1000000", "--cls", "999999,1", "--rhs", "999999,1"],
+    ["dominates", "--a", "3000000", "--b", "2999999,1"],
 ])
 def test_huge_requests_are_refused_in_a_fresh_process(argv):
-    """Refused before p(n) or a huge power is computed, in a process with
-    nothing cached."""
+    """Refused before p(n), a huge power, a table or a rank row on 0..n is
+    computed, in a process with nothing cached."""
     proc = subprocess.run(
         [sys.executable, "-m", "rankfn", *argv], capture_output=True, timeout=60)
     assert proc.returncode == 1 and proc.stdout == b""
@@ -269,12 +274,20 @@ def test_huge_requests_are_refused_in_a_fresh_process(argv):
     assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
 
 
-def test_over_budget_search_is_refused_before_any_table(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["search", "--n", "4000000", "--k", "1"], id="search"),
+    pytest.param(["solve", "--n", "4000000", "--jp", "3999999,1"], id="solve"),
+    pytest.param(["solve-stable", "--n", "4000000", "--cls", "3999999:1", "--cls", "2:3999998"],
+                 id="solve-stable"),
+    pytest.param(["check", "--n", "4000000", "--cls", "2:3999998", "--rhs", "2:3999998"],
+                 id="check"),
+])
+def test_over_budget_search_is_refused_before_any_table(argv, capsys, monkeypatch):
     def no_tables(*args):
-        raise AssertionError("a table was built for an over-budget search")
+        raise AssertionError(f"a table was built for the over-budget {argv[0]}")
 
     monkeypatch.setattr(cli, "_parse_table", no_tables)
-    code, out, err = run(capsys, "search", "--n", "4000000", "--k", "1")
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"
 

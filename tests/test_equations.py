@@ -287,10 +287,16 @@ def test_search_finds_pythagorean_tuple():
 
 def test_search_is_sorted_and_deterministic():
     spec = EquationSpec(n=8, k=2, f=FnTable.squares(8), g=FnTable.squares(8))
-    once = search_general(spec)
-    keys = [tuple(c.nilp.parts for c in s.lhs) + (s.rhs.nilp.parts,) for s in once]
-    assert keys == sorted(keys)
-    assert once == search_general(spec)
+    assert search_general(spec) == search_general(spec)
+    # no final sort: the order comes from the walk, so check it past the golden grid
+    for n in (8, 9, 10):
+        for values in (range(n + 1), [i * i for i in range(n + 1)],
+                       [i * (i + 1) // 2 for i in range(n + 1)]):
+            f = FnTable(tuple(values))
+            for k in (1, 2, 3):
+                out = search_general(EquationSpec(n=n, k=k, f=f, g=f), budget=10**7)
+                keys = [tuple(c.nilp.parts for c in s.lhs) + (s.rhs.nilp.parts,) for s in out]
+                assert keys and all(a < b for a, b in zip(keys, keys[1:])), (n, k, values)
 
 
 def test_search_budget_is_enforced():

@@ -206,11 +206,16 @@ def test_enumerate_sol_rank_matrices_faithful():
 
 
 def test_enumerate_sol_deterministic_and_sorted():
-    s1 = enumerate_sol(7, 2, ConvexTable.identity(7))
-    s2 = enumerate_sol(7, 2, ConvexTable.identity(7))
-    assert s1 == s2
-    keys = [tuple(c.nilp.parts for c in t.lhs) for t in s1.tuples]
-    assert keys == sorted(keys)
+    assert enumerate_sol(7, 2, ConvexTable.identity(7)) == enumerate_sol(
+        7, 2, ConvexTable.identity(7))
+    # no final sort: the order comes from the walk, so check it past the golden grid
+    for n in (7, 9, 10):
+        for values in (range(n + 1), [i * i for i in range(n + 1)],
+                       [i * (i + 1) // 2 for i in range(n + 1)]):
+            f = ConvexTable(tuple(values))
+            for k in (1, 2, 3):
+                keys = [tuple(c.nilp.parts for c in t.lhs) for t in enumerate_sol(n, k, f).tuples]
+                assert keys and all(a < b for a, b in zip(keys, keys[1:])), (n, k, values)
 
 
 def test_enumerate_sol_budget():
