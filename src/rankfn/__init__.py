@@ -15,7 +15,7 @@ from .geometry import *
 # (PEP 562), so a process that never replays a matrix does not load it.
 # The list is written out because reading oracle.__all__ would import it.
 _ORACLE_NAMES = (
-    "ExactMatrix", "direct_sum", "exact_rank", "jordan_matrix",
+    "ExactMatrix", "exact_rank", "jordan_matrix",
     "matrix_rank_function", "random_conjugate", "verify_class_ranks",
 )
 

@@ -39,7 +39,8 @@ from .equations import (
 
 _ERRORS = (ValueError, BudgetExceeded)
 
-SIZE_CAP = 10_000  # largest n that solve, solve-stable, check and dominates accept
+# largest n that solve, solve-stable, check, dominates and the solution-set verbs accept
+SIZE_CAP = 10_000
 
 
 def _check_size(n: int) -> None:
@@ -149,6 +150,7 @@ def _cmd_search(args) -> str:
 
 
 def _sol_set(args) -> geometry.SolSet:
+    _check_size(args.n)
     f = _parse_table(args.f, args.n, convex=True)
     return geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
 

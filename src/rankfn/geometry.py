@@ -23,6 +23,7 @@ from .core import (
     RankFunction,
     _nontrivial_ascending,
     class_rank,
+    partition_count,
     partition_to_rank,
     partitions_of,
     rank_to_partition,
@@ -46,10 +47,8 @@ __all__ = [
     "enumerate_sol",
     "maximal_elements",
     "irreducible_components",
-    "is_irreducible",
     "orbit_dimension",
     "component_dimension",
-    "orbit_capacity",
     "components_capacity",
     "sol_capacity",
     "dominating_tuple",
@@ -133,6 +132,12 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
     the k-fold product be walked with pruning instead of in full; the
     budget caps the number of visited states.  The walk takes the candidates
     in ascending order, so the tuples come out in lexicographic order.
+
+    Before any partition is listed, a lower bound on the visits is checked
+    against the budget: the root, plus the p(j) partitions with n - j parts
+    for each j <= n/2 with 2 f(j) <= n - 2 (k-1) f(1).  Each of those costs
+    at most 2 f(j), and the root's slack is at least n - 2 (k-1) f(1),
+    because (2, 1, ..., 1) costs 2 f(1) - f(0).
     """
     if n < 2:
         raise ValueError(f"matrix size must be at least 2: n = {n}")
@@ -140,6 +145,15 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
         raise ValueError(f"need at least one left-hand coordinate: k = {k}")
     if len(f.values) < n + 1:
         raise InvalidTable(f"f table must cover 0..{n}")
+    room = n - 2 * (k - 1) * f(1)
+    least = 1
+    for j in range(1, n // 2 + 1):
+        if least > budget:
+            break
+        if 2 * f(j) <= room:
+            least += partition_count(j)
+    if least > budget:
+        raise BudgetExceeded(f"enumeration visited more than {budget} states")
     cand = _nontrivial_ascending(n)
     costs = [2 * f(r.at(1)) - f(r.at(2)) for r in map(partition_to_rank, cand)]
     min_cost = min(costs)
@@ -208,19 +222,6 @@ class Component:
         }
 
 
-def is_irreducible(s: SolSet) -> bool:
-    """A closure is irreducible iff some solution dominates all others.
-
-    The matrices are distinct, so such a greatest matrix has the largest
-    entry sum; only one matrix of largest sum is checked against the rest.
-    """
-    rms = s.rank_matrices
-    if not rms:
-        return False
-    top = max(rms, key=lambda rm: sum(rm.flat))
-    return all(rm_leq(rm, top) for rm in rms)
-
-
 def irreducible_components(s: SolSet) -> list[Component]:
     """One component per maximal rank matrix, in set order."""
     return [Component(rm) for rm in maximal_elements(s)]
@@ -243,12 +244,6 @@ def orbit_dimension(p: Partition) -> int:
 def component_dimension(rm: RankMatrix) -> int:
     """Sum of the rows' orbit dimensions (a product of orbit closures)."""
     return sum(_rank_orbit_dimension(row) for row in rm.rows)
-
-
-def orbit_capacity(p: Partition) -> Fraction:
-    """Largest dimension of a linear subspace inside the orbit closure of a
-    nilpotent class: exactly half the orbit dimension."""
-    return Fraction(orbit_dimension(p), 2)
 
 
 def components_capacity(comps: Sequence[Component]) -> Fraction | float:

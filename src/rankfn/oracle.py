@@ -29,7 +29,6 @@ __all__ = [
     "exact_rank",
     "matrix_rank_function",
     "random_conjugate",
-    "direct_sum",
     "verify_class_ranks",
 ]
 
@@ -79,13 +78,8 @@ class ExactMatrix:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
     def to_json(self) -> dict:
-        rows = self.rows if self.den == 1 else self.entries
-        return {"n": self.n, "entries": [[str(e) for e in row] for row in rows]}
+        return {"n": self.n, "entries": [[str(e) for e in row] for row in self.entries]}
 
 
 def _reduce(rows) -> tuple[list[list[int]], int]:
@@ -200,14 +194,6 @@ def random_conjugate(m: ExactMatrix, seed: int = DEFAULT_SEED) -> ExactMatrix:
     _, (block, p) = _random_invertible(random.Random(seed), m.n,
                                        lambda u: _int_matmul(m.rows, u))
     return ExactMatrix(block, p * m.den)
-
-
-def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Block-diagonal stack of two matrices."""
-    den = lcm(a.den, b.den)
-    rows = [[x * (den // a.den) for x in row] + [0] * b.n for row in a.rows]
-    rows += [[0] * a.n + [x * (den // b.den) for x in row] for row in b.rows]
-    return ExactMatrix(rows, den)
 
 
 def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,

@@ -5,10 +5,12 @@ realizability set goes through explicit class enumeration, the partition
 counter uses the restricted-parts recursion, the rank, determinant and
 inverse routines are plain Fraction eliminations with no fraction-free
 tricks, and the ranks of powers are taken on the literal powers.  The
-maxima filters compare every pair of matrices entry by entry, and orbit
-dimensions come from squared conjugate parts, not from rank drops.
+maxima filters compare every pair of matrices entry by entry, orbit
+dimensions come from squared conjugate parts, not from rank drops, and the
+enumeration's visited states are counted from part counts, not rank rows.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -126,6 +128,31 @@ def all_pairs_maxima(matrices):
 def has_greatest(matrices):
     """Does one matrix lie entrywise above every other one?"""
     return any(all(_entrywise_leq(b, a) for b in matrices) for a in matrices)
+
+
+def enumeration_visits(n, k, f):
+    """States the budgeted enumeration walk visits for k coordinates of size
+    n and table values f: the root, then each prefix of nontrivial
+    partitions whose cost fits the slack.  A cost 2 f(r(1)) - f(r(2)) is read
+    off part counts, r(1) = n - #parts and r(2) = r(1) - #parts >= 2, and
+    the slack keeps the least cost for each coordinate still to fill."""
+    costs = Counter()
+    for p in partitions_of(n):
+        r1 = n - len(p.parts)
+        r2 = r1 - sum(1 for part in p.parts if part >= 2)
+        if r1:
+            costs[2 * f[r1] - f[r2]] += 1
+    least = min(costs)
+
+    @lru_cache(maxsize=None)
+    def visits(depth, spent):
+        if depth == k:
+            return 1
+        slack = n - spent - (k - depth - 1) * least
+        return 1 + sum(m * visits(depth + 1, spent + c)
+                       for c, m in costs.items() if c <= slack)
+
+    return visits(0, 0)
 
 
 def orbit_dimension_by_conjugate(parts):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from rankfn import Partition, cli
+from rankfn import Partition, cli, geometry
 from rankfn.cli import main
 
 SCHEMAS = json.loads(
@@ -263,6 +263,8 @@ def test_budget_errors(capsys):
     ["solve-stable", "--n", "1000000", "--cls", "999999:1", "--cls", "999998,1:1"],
     ["check", "--n", "1000000", "--cls", "999999,1", "--rhs", "999999,1"],
     ["dominates", "--a", "3000000", "--b", "2999999,1"],
+    # over the size cap of the solution-set verbs
+    ["components", "--n", "3000000", "--k", "2", "--budget", "10"],
 ])
 def test_huge_requests_are_refused_in_a_fresh_process(argv):
     """Refused before p(n), a huge power, a table or a rank row on 0..n is
@@ -281,6 +283,8 @@ def test_huge_requests_are_refused_in_a_fresh_process(argv):
                  id="solve-stable"),
     pytest.param(["check", "--n", "4000000", "--cls", "2:3999998", "--rhs", "2:3999998"],
                  id="check"),
+    *(pytest.param([verb, "--n", "4000000", "--k", "2"], id=verb)
+      for verb in ("enumerate", "components", "capacity", "dominating-tuple")),
 ])
 def test_over_budget_search_is_refused_before_any_table(argv, capsys, monkeypatch):
     def no_tables(*args):
@@ -290,6 +294,21 @@ def test_over_budget_search_is_refused_before_any_table(argv, capsys, monkeypatc
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "30", "--k", "2", "--budget", "10"],
+    ["capacity", "--n", "50", "--k", "3", "--budget", "1000"],
+])
+def test_over_budget_enumeration_is_refused_before_any_partition(argv, capsys, monkeypatch):
+    def no_partitions(n):
+        raise AssertionError(f"the partitions of {n} were listed for {argv}")
+
+    monkeypatch.setattr(geometry, "_nontrivial_ascending", no_partitions)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "BudgetExceeded", "detail":
+                               f"enumeration visited more than {argv[-1]} states"}
 
 
 @pytest.mark.parametrize("argv, error", [

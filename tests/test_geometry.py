@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import all_pairs_maxima, has_greatest, orbit_dimension_by_conjugate
+from helpers import (
+    all_pairs_maxima,
+    enumeration_visits,
+    has_greatest,
+    orbit_dimension_by_conjugate,
+)
 
 from rankfn import (
     BudgetExceeded,
@@ -27,10 +32,8 @@ from rankfn import (
     enumerate_sol,
     hasse_dot,
     irreducible_components,
-    is_irreducible,
     maximal_elements,
     nontrivial_blocks,
-    orbit_capacity,
     orbit_dimension,
     partition_to_rank,
     partitions_of,
@@ -223,6 +226,23 @@ def test_enumerate_sol_budget():
         enumerate_sol(9, 3, ConvexTable.identity(9), budget=3)
 
 
+def test_enumerate_sol_budget_boundary():
+    """A budget of exactly the walk's visited states is enough and one less
+    is refused, so the refusal before any partition is listed never turns
+    away a request the walk would finish."""
+    for n in range(2, 13):
+        for values in (range(n + 1), [i * i for i in range(n + 1)],
+                       [i * (i + 1) // 2 for i in range(n + 1)],
+                       [2 ** i - 1 for i in range(n + 1)]):
+            f = ConvexTable(tuple(values))
+            for k in range(1, 5):
+                visits = enumeration_visits(n, k, f.values)
+                enumerate_sol(n, k, f, budget=visits)
+                with pytest.raises(BudgetExceeded,
+                                   match=f"^enumeration visited more than {visits - 1} states$"):
+                    enumerate_sol(n, k, f, budget=visits - 1)
+
+
 # ---------------------------------------------------------------- components
 
 def test_maximal_elements_n5():
@@ -259,11 +279,11 @@ def test_maximal_elements_equals_all_pairs_filter():
 
 
 def test_is_irreducible_equals_some_matrix_dominating_all():
+    """A closure is irreducible iff it has one component, one maximal matrix."""
     seen = set()
     for s in sweep_cases():
-        got = is_irreducible(s)
+        got = len(irreducible_components(s)) == 1
         assert got == has_greatest([rm.to_json() for rm in s.rank_matrices])
-        assert (len(irreducible_components(s)) == 1) == got
         seen.add(got)
     assert seen == {True, False}
 
@@ -274,8 +294,6 @@ def test_irreducible_components_frozen_small_cases():
     assert comps4[0].capacity == Fraction(10)
     comps5 = irreducible_components(enumerate_sol(5, 2, ConvexTable.identity(5)))
     assert sorted(c.dimension for c in comps5) == [38, 38]
-    assert is_irreducible(enumerate_sol(4, 2, ConvexTable.identity(4)))
-    assert not is_irreducible(enumerate_sol(5, 2, ConvexTable.identity(5)))
 
 
 def test_component_derives_dimension_and_capacity():
@@ -300,7 +318,6 @@ def test_component_maxima_round_trip():
 def test_empty_solution_set_has_no_components():
     s = enumerate_sol(2, 2, ConvexTable.identity(2))
     assert irreducible_components(s) == []
-    assert not is_irreducible(s)
     assert sol_capacity(s) == float("-inf")
 
 
@@ -354,13 +371,6 @@ def test_component_dimension_refuses_a_non_nilpotent_row():
     for rows in ((invertible_part,), (nilpotent, invertible_part)):
         with pytest.raises(InvalidRankFunction):
             component_dimension(RankMatrix(rows))
-
-
-def test_orbit_capacity_examples():
-    assert orbit_capacity(Partition((2, 2))) == Fraction(4)
-    for k in range(1, 6):
-        rows = [Partition((2,) + (1,) * (2 * k - 2))] * k + [Partition((2,) * k)]
-        assert sum(orbit_capacity(p) for p in rows) == Fraction(3 * k * k - k)
 
 
 def test_sol_capacity_frozen_small_cases():
