@@ -5,7 +5,13 @@ all solution rank matrices)."""
 
 import argparse
 
-from rankfn import ConvexTable, dominating_tuple, enumerate_sol, sol_capacity
+from rankfn import (
+    ConvexTable,
+    capacity_upper_bound,
+    dominating_tuple,
+    enumerate_sol,
+    sol_capacity,
+)
 
 
 def main():
@@ -21,11 +27,11 @@ def main():
         if not s.tuples:
             print(f"{n:>4} {0:>7} {'-inf':>9} {'':>7}  (no solutions)")
             continue
-        dt = dominating_tuple(s)
-        desc = "  ".join(str(p) for p in dt.partitions)
-        flag = " full-block" if all(dt.is_full_block) else ""
+        parts = dominating_tuple(s)
+        desc = "  ".join(str(p) for p in parts)
+        flag = " full-block" if all(len(p.parts) == 1 for p in parts) else ""
         print(f"{n:>4} {len(s.tuples):>7} {str(cap):>9} "
-              f"{str(dt.capacity_upper_bound()):>7}  {desc}{flag}")
+              f"{str(capacity_upper_bound(parts)):>7}  {desc}{flag}")
 
 
 if __name__ == "__main__":

@@ -4,14 +4,13 @@ equation at sizes 2k and 2k+1, next to the closed forms they should match."""
 
 import argparse
 
-from rankfn import ConvexTable, enumerate_sol, irreducible_components, sol_capacity
+from rankfn import ConvexTable, components_capacity, enumerate_sol, irreducible_components
 
 
 def row(n, k):
     s = enumerate_sol(n, k, ConvexTable.identity(n))
-    comps = irreducible_components(s)
-    dims = sorted({c.dimension for c in comps})
-    return len(s.tuples), len(comps), dims, sol_capacity(s)
+    dims = [dim for _, dim in irreducible_components(s)]
+    return len(s.tuples), len(dims), sorted(set(dims)), components_capacity(dims)
 
 
 def main():

@@ -1,8 +1,10 @@
 """Command-line front end: one verb per operation, JSON (or DOT) on stdout.
 
-Exit codes: 0 on success, 1 for a violated precondition (a structured
-error document goes to stderr), 2 for usage errors.  Identical flags give
-byte-identical output.  The exact-matrix oracle is imported only by
+This module alone writes the JSON documents (their layout is published in
+``docs/cli_schemas.json``); the library returns plain values.  Exit codes:
+0 on success, 1 for a violated precondition (a structured error document
+goes to stderr), 2 for usage errors.  Identical flags give byte-identical
+output.  The exact-matrix oracle is imported only by
 ``oracle-verify``, the one verb that uses it.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from functools import cache
 
 from . import geometry
@@ -39,7 +42,7 @@ from .equations import (
 
 _ERRORS = (ValueError, BudgetExceeded)
 
-# largest n that solve, solve-stable, check, dominates and the solution-set verbs accept
+# largest n that rank, solve, solve-stable, check, dominates and the solution-set verbs accept
 SIZE_CAP = 10_000
 
 
@@ -95,14 +98,34 @@ def _dumps(obj) -> str:
     return json.dumps(obj) + "\n"
 
 
+def _class_json(c: MatrixClass) -> dict:
+    return {"nilp": list(c.nilp.parts), "q": c.q}
+
+
+def _table_json(text: str, table: FnTable) -> dict:
+    """Named tables print their name alone; a literal table also its values."""
+    if text in ("id", "square"):
+        return {"kind": text}
+    return {"kind": "table", "values": list(table.values)}
+
+
+def _tuple_json(t: SolutionTuple) -> dict:
+    return {"lhs": [_class_json(c) for c in t.lhs], "rhs": _class_json(t.rhs)}
+
+
+def _rm_json(rm: geometry.RankMatrix) -> list[list[int]]:
+    return [list(r.values) for r in rm.rows]
+
+
 def _cmd_rank(args) -> str:
     c = MatrixClass(Partition.parse(args.jp), args.q)
+    _check_size(c.size)
     return _dumps(list(class_rank(c).values))
 
 
 def _cmd_unrank(args) -> str:
     r = RankFunction(_parse_values(args.values))
-    return _dumps(rank_to_class(r).to_json())
+    return _dumps(_class_json(rank_to_class(r)))
 
 
 def _cmd_dominates(args) -> str:
@@ -122,7 +145,7 @@ def _cmd_solve_stable(args) -> str:
     _check_size(args.n)
     f = _parse_table(args.f, args.n, convex=True)
     rhs = solve_with_stable_ranks(f, [_sized_class(t, args.n) for t in args.cls])
-    return _dumps({"rhs": None if rhs is None else rhs.to_json()})
+    return _dumps({"rhs": None if rhs is None else _class_json(rhs)})
 
 
 def _cmd_check(args) -> str:
@@ -142,10 +165,10 @@ def _cmd_search(args) -> str:
     return _dumps({
         "n": args.n,
         "k": args.k,
-        "f": spec.f.to_json(),
-        "g": spec.g.to_json(),
+        "f": _table_json(args.f, spec.f),
+        "g": _table_json(args.g, spec.g),
         "count": len(sols),
-        "solutions": [s.to_json() for s in sols],
+        "solutions": [_tuple_json(s) for s in sols],
     })
 
 
@@ -156,17 +179,27 @@ def _sol_set(args) -> geometry.SolSet:
 
 
 def _cmd_enumerate(args) -> str:
-    return _dumps(_sol_set(args).to_json())
+    s = _sol_set(args)
+    return _dumps({
+        "n": s.n,
+        "k": s.k,
+        "f": _table_json(args.f, s.f),
+        "tuples": [_tuple_json(t) for t in s.tuples],
+        "rank_matrices": [_rm_json(rm) for rm in s.rank_matrices],
+    })
 
 
 def _cmd_components(args) -> str:
     comps = geometry.irreducible_components(_sol_set(args))
+    dims = [dim for _, dim in comps]
     return _dumps({
         "count": len(comps),
-        "dimensions": [c.dimension for c in comps],
-        "capacity": str(geometry.components_capacity(comps)),
+        "dimensions": dims,
+        "capacity": str(geometry.components_capacity(dims)),
         "irreducible": len(comps) == 1,
-        "components": [c.to_json() for c in comps],
+        "components": [
+            {"max_rm": _rm_json(rm), "dimension": dim, "capacity": str(Fraction(dim, 2))}
+            for rm, dim in comps],
     })
 
 
@@ -175,7 +208,12 @@ def _cmd_capacity(args) -> str:
 
 
 def _cmd_dominating_tuple(args) -> str:
-    return _dumps(geometry.dominating_tuple(_sol_set(args)).to_json())
+    parts = geometry.dominating_tuple(_sol_set(args))
+    return _dumps({
+        "partitions": [list(p.parts) for p in parts],
+        "full_block": [len(p.parts) == 1 for p in parts],
+        "capacity_upper_bound": str(geometry.capacity_upper_bound(parts)),
+    })
 
 
 def _cmd_hasse(args) -> str:

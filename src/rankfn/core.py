@@ -162,9 +162,6 @@ class MatrixClass:
         """The class of the zero matrix: no invertible part, all blocks trivial."""
         return self.q == 0 and not nontrivial_blocks(self.nilp)
 
-    def to_json(self) -> dict:
-        return {"nilp": list(self.nilp.parts), "q": self.q}
-
 
 def partition_to_rank(p: Partition) -> RankFunction:
     """Rank function of the nilpotent class with Jordan partition p.

@@ -78,7 +78,6 @@ class FnTable:
     """Values of an arbitrary non-negative integer function on 0..len-1."""
 
     values: tuple[int, ...]
-    kind: str = "table"
 
     def __post_init__(self) -> None:
         values = tuple(self.values)
@@ -93,17 +92,11 @@ class FnTable:
 
     @classmethod
     def identity(cls, n: int) -> "FnTable":
-        return cls(tuple(range(n + 1)), kind="id")
+        return cls(tuple(range(n + 1)))
 
     @classmethod
     def squares(cls, n: int) -> "FnTable":
-        return cls(tuple(i * i for i in range(n + 1)), kind="square")
-
-    def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind}
-        if self.kind == "table":
-            obj["values"] = list(self.values)
-        return obj
+        return cls(tuple(i * i for i in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -176,9 +169,6 @@ class SolutionTuple:
     def from_partitions(cls, lhs: Sequence[Partition], rhs: Partition) -> "SolutionTuple":
         """All-nilpotent tuple."""
         return cls(tuple(MatrixClass(p) for p in lhs), MatrixClass(rhs))
-
-    def to_json(self) -> dict:
-        return {"lhs": [c.to_json() for c in self.lhs], "rhs": self.rhs.to_json()}
 
 
 def check_solution(spec: EquationSpec, sol: SolutionTuple) -> bool:

@@ -40,8 +40,6 @@ from .equations import (
 __all__ = [
     "RankMatrix",
     "SolSet",
-    "Component",
-    "DominatingTuple",
     "rank_matrix",
     "rm_leq",
     "enumerate_sol",
@@ -52,6 +50,7 @@ __all__ = [
     "components_capacity",
     "sol_capacity",
     "dominating_tuple",
+    "capacity_upper_bound",
     "hasse_dot",
 ]
 
@@ -76,9 +75,6 @@ class RankMatrix:
     def flat(self) -> tuple[int, ...]:
         """The entries row by row, for the entrywise order."""
         return tuple(v for row in self.rows for v in row.values)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(r.values) for r in self.rows]
 
 
 def rank_matrix(sol: SolutionTuple) -> RankMatrix:
@@ -112,15 +108,6 @@ class SolSet:
     @cached_property
     def rank_matrices(self) -> tuple[RankMatrix, ...]:
         return tuple(rank_matrix(t) for t in self.tuples)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "f": self.f.to_json(),
-            "tuples": [t.to_json() for t in self.tuples],
-            "rank_matrices": [rm.to_json() for rm in self.rank_matrices],
-        }
 
 
 def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) -> SolSet:
@@ -199,32 +186,11 @@ def maximal_elements(s: SolSet) -> list[RankMatrix]:
     return [rm for rm, keep in zip(rms, is_max) if keep]
 
 
-@dataclass(frozen=True)
-class Component:
-    """Irreducible component of a solution-set closure, named by its maximal
-    rank matrix."""
-
-    max_rm: RankMatrix
-
-    @property
-    def dimension(self) -> int:
-        return component_dimension(self.max_rm)
-
-    @property
-    def capacity(self) -> Fraction:
-        return Fraction(self.dimension, 2)
-
-    def to_json(self) -> dict:
-        return {
-            "max_rm": self.max_rm.to_json(),
-            "dimension": self.dimension,
-            "capacity": str(self.capacity),
-        }
-
-
-def irreducible_components(s: SolSet) -> list[Component]:
-    """One component per maximal rank matrix, in set order."""
-    return [Component(rm) for rm in maximal_elements(s)]
+def irreducible_components(s: SolSet) -> list[tuple[RankMatrix, int]]:
+    """One (maximal rank matrix, dimension) pair per irreducible component
+    of the closure, in set order; the component's capacity is half its
+    dimension."""
+    return [(rm, component_dimension(rm)) for rm in maximal_elements(s)]
 
 
 def _rank_orbit_dimension(r: RankFunction) -> int:
@@ -246,45 +212,23 @@ def component_dimension(rm: RankMatrix) -> int:
     return sum(_rank_orbit_dimension(row) for row in rm.rows)
 
 
-def components_capacity(comps: Sequence[Component]) -> Fraction | float:
-    """The best capacity among components: a Fraction, or float -inf (the
-    supremum of the empty set) when there are none."""
-    return max((c.capacity for c in comps), default=float("-inf"))
+def components_capacity(dims: Sequence[int]) -> Fraction | float:
+    """The best capacity among components of these dimensions: a Fraction,
+    or float -inf (the supremum of the empty set) when there are none."""
+    return Fraction(max(dims), 2) if dims else float("-inf")
 
 
 def sol_capacity(s: SolSet) -> Fraction | float:
     """Largest linear subspace dimension inside the solution-set closure:
     the best component capacity as a Fraction, or float -inf for an empty
     set.  ``str`` prints either as the CLI does."""
-    return components_capacity(irreducible_components(s))
+    return components_capacity([dim for _, dim in irreducible_components(s)])
 
 
-@dataclass(frozen=True)
-class DominatingTuple:
-    """Least coordinatewise upper bound of a solution set's rank matrices."""
-
-    partitions: tuple[Partition, ...]
-
-    @property
-    def is_full_block(self) -> tuple[bool, ...]:
-        """Whether each coordinate is the single-block class."""
-        return tuple(len(p.parts) == 1 for p in self.partitions)
-
-    def capacity_upper_bound(self) -> Fraction:
-        """Half the summed orbit dimensions; caps the solution-set capacity."""
-        return Fraction(sum(orbit_dimension(p) for p in self.partitions), 2)
-
-    def to_json(self) -> dict:
-        return {
-            "partitions": [list(p.parts) for p in self.partitions],
-            "full_block": list(self.is_full_block),
-            "capacity_upper_bound": str(self.capacity_upper_bound()),
-        }
-
-
-def dominating_tuple(s: SolSet) -> DominatingTuple:
-    """Pointwise maximum of the rank functions at each coordinate.  The max
-    of valid rank functions is again one, so each coordinate names a
+def dominating_tuple(s: SolSet) -> tuple[Partition, ...]:
+    """Least coordinatewise upper bound of the set's rank matrices: the
+    pointwise maximum of the rank functions at each coordinate.  The max of
+    valid rank functions is again one, so each coordinate names a
     partition."""
     if not s.tuples:
         raise ValueError("empty solution set has no dominating tuple")
@@ -292,7 +236,13 @@ def dominating_tuple(s: SolSet) -> DominatingTuple:
     for i in range(s.k + 1):
         rows = [rm.rows[i].values for rm in s.rank_matrices]
         parts.append(rank_to_partition(RankFunction(tuple(max(col) for col in zip(*rows)))))
-    return DominatingTuple(tuple(parts))
+    return tuple(parts)
+
+
+def capacity_upper_bound(parts: Sequence[Partition]) -> Fraction:
+    """Half the summed orbit dimensions of a dominating tuple; caps the
+    solution-set capacity."""
+    return Fraction(sum(orbit_dimension(p) for p in parts), 2)
 
 
 def _covers(lam: tuple[int, ...]) -> list[tuple[int, ...]]:

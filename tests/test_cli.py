@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -13,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from rankfn import Partition, cli, geometry
+from rankfn import (
+    Partition,
+    RankFunction,
+    RankMatrix,
+    cli,
+    component_dimension,
+    geometry,
+    orbit_dimension,
+)
 from rankfn.cli import main
 
 SCHEMAS = json.loads(
@@ -51,6 +60,8 @@ def test_unrank_verb(capsys):
         "nilp": [2, 1], "q": 1}
     assert run_json(capsys, "unrank", "--values", "4,1,0,0,0") == {
         "nilp": [2, 1, 1], "q": 0}
+    assert run_json(capsys, "unrank", "--values", "6,4,3,2,2,2,2") == {
+        "nilp": [3, 1], "q": 2}
 
 
 def test_rank_unrank_round_trip(capsys):
@@ -102,6 +113,11 @@ def test_components_verb_frozen(capsys):
     assert doc["dimensions"] == [38, 38]
     assert doc["capacity"] == "19"
     assert doc["irreducible"] is False
+    assert run_json(capsys, "components", "--n", "4", "--k", "2")["components"] == [{
+        "max_rm": [[4, 1, 0, 0, 0], [4, 1, 0, 0, 0], [4, 2, 0, 0, 0]],
+        "dimension": 20,
+        "capacity": "10",
+    }]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -112,6 +128,12 @@ def test_components_agrees_with_capacity_verb(n, capsys):
             doc = run_json(capsys, "components", *flags)
             assert doc["capacity"] == run_json(capsys, "capacity", *flags)["capacity"]
             assert doc["irreducible"] == (doc["count"] == 1)
+            # each component's dimension is its maximal matrix's, its capacity half that
+            assert doc["dimensions"] == [c["dimension"] for c in doc["components"]]
+            for comp in doc["components"]:
+                rm = RankMatrix(tuple(RankFunction(tuple(row)) for row in comp["max_rm"]))
+                assert comp["dimension"] == component_dimension(rm)
+                assert comp["capacity"] == str(Fraction(comp["dimension"], 2))
 
 
 def test_capacity_verb(capsys):
@@ -126,6 +148,26 @@ def test_dominating_tuple_verb(capsys):
         "full_block": [False, False, False],
         "capacity_upper_bound": "22",
     }
+
+
+def test_dominating_tuple_derives_full_block_flags(capsys):
+    """full_block marks the single-block coordinates, and the bound is half
+    the summed orbit dimensions of the partitions."""
+    assert run_json(capsys, "dominating-tuple", "--n", "4", "--k", "1") == {
+        "partitions": [[4], [4]],
+        "full_block": [True, True],
+        "capacity_upper_bound": "12",
+    }
+    flags = set()
+    for n in range(4, 8):
+        for f in ("id", "square", "table:0,2,5,9,14,20,27,35"):
+            doc = run_json(capsys, "dominating-tuple", "--n", str(n), "--k", "1", "--f", f)
+            parts = [Partition(tuple(p)) for p in doc["partitions"]]
+            assert doc["full_block"] == [len(p.parts) == 1 for p in parts]
+            assert doc["capacity_upper_bound"] == str(
+                Fraction(sum(orbit_dimension(p) for p in parts), 2))
+            flags.update(doc["full_block"])
+    assert flags == {True, False}
 
 
 def test_hasse_verb_emits_dot(capsys):
@@ -265,6 +307,9 @@ def test_budget_errors(capsys):
     ["dominates", "--a", "3000000", "--b", "2999999,1"],
     # over the size cap of the solution-set verbs
     ["components", "--n", "3000000", "--k", "2", "--budget", "10"],
+    # over the size cap: rank lists r on the whole window 0..n
+    ["rank", "--jp", "400000000"],
+    ["rank", "--jp", "2", "--q", "1000000000"],
 ])
 def test_huge_requests_are_refused_in_a_fresh_process(argv):
     """Refused before p(n), a huge power, a table or a rank row on 0..n is

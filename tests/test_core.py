@@ -231,7 +231,7 @@ def test_nontrivial_blocks():
     assert nontrivial_blocks(Partition(())) == ()
 
 
-def test_matrix_class_validation_and_json():
+def test_matrix_class_validation():
     with pytest.raises(ValueError):
         MatrixClass(Partition((2,)), -1)
     for q in (True, False, 1.0, "1", None):
@@ -240,7 +240,6 @@ def test_matrix_class_validation_and_json():
     c = MatrixClass(Partition((3, 1)), 2)
     assert c.size == 6
     assert not c.is_nilpotent
-    assert c.to_json() == {"nilp": [3, 1], "q": 2}
     assert MatrixClass(Partition((1, 1))).is_zero
     assert not MatrixClass(Partition((1, 1)), 1).is_zero
 

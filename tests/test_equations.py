@@ -40,6 +40,9 @@ def test_convex_table_accepts_named_kinds():
     assert ConvexTable.identity(5).values == (0, 1, 2, 3, 4, 5)
     assert ConvexTable.squares(4).values == (0, 1, 4, 9, 16)
     assert ConvexTable((0, 2, 5, 9)).values == (0, 2, 5, 9)
+    # a table is its values: a named one equals the literal one
+    assert ConvexTable.squares(3) == ConvexTable((0, 1, 4, 9))
+    assert FnTable.identity(2) == FnTable((0, 1, 2))
 
 
 def test_convex_table_names_the_violated_condition():
@@ -185,7 +188,7 @@ def test_solve_condition_matches_validity_and_brute_force():
 def test_solve_soundness_via_check():
     for n in range(2, 8):
         for f in (ConvexTable.identity(n), ConvexTable.squares(n)):
-            spec = EquationSpec(n=n, k=2, f=FnTable(f.values, kind=f.kind),
+            spec = EquationSpec(n=n, k=2, f=FnTable(f.values),
                                 g=FnTable.identity(n))
             for p1 in nonzero_partitions(n):
                 for p2 in nonzero_partitions(n):

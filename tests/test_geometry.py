@@ -13,9 +13,7 @@ from helpers import (
 
 from rankfn import (
     BudgetExceeded,
-    Component,
     ConvexTable,
-    DominatingTuple,
     EquationSpec,
     FnTable,
     InvalidRankFunction,
@@ -23,6 +21,7 @@ from rankfn import (
     Partition,
     RankMatrix,
     SolutionTuple,
+    capacity_upper_bound,
     check_solution,
     class_rank,
     component_dimension,
@@ -271,10 +270,14 @@ def sweep_cases():
                     yield SolSet(n=n, k=k, f=f, tuples=sub)
 
 
+def plain_rows(s):
+    """The set's rank matrices as nested lists, for the independent routes."""
+    return [[list(r.values) for r in rm.rows] for rm in s.rank_matrices]
+
+
 def test_maximal_elements_equals_all_pairs_filter():
     for s in sweep_cases():
-        plain = [rm.to_json() for rm in s.rank_matrices]
-        expected = [s.rank_matrices[i] for i in all_pairs_maxima(plain)]
+        expected = [s.rank_matrices[i] for i in all_pairs_maxima(plain_rows(s))]
         assert maximal_elements(s) == expected
 
 
@@ -283,36 +286,36 @@ def test_is_irreducible_equals_some_matrix_dominating_all():
     seen = set()
     for s in sweep_cases():
         got = len(irreducible_components(s)) == 1
-        assert got == has_greatest([rm.to_json() for rm in s.rank_matrices])
+        assert got == has_greatest(plain_rows(s))
         seen.add(got)
     assert seen == {True, False}
 
 
 def test_irreducible_components_frozen_small_cases():
-    comps4 = irreducible_components(enumerate_sol(4, 2, ConvexTable.identity(4)))
-    assert [c.dimension for c in comps4] == [20]
-    assert comps4[0].capacity == Fraction(10)
+    s4 = enumerate_sol(4, 2, ConvexTable.identity(4))
+    assert irreducible_components(s4) == [(s4.rank_matrices[0], 20)]
     comps5 = irreducible_components(enumerate_sol(5, 2, ConvexTable.identity(5)))
-    assert sorted(c.dimension for c in comps5) == [38, 38]
+    assert sorted(dim for _, dim in comps5) == [38, 38]
 
 
 def test_component_derives_dimension_and_capacity():
     rm = rank_matrix(worked_tuple_n10())
-    comp = Component(rm)
     # rows (10,2,0..), (10,3,1,0..), (10,5,1,0..): 100 minus the squared rank drops
-    assert comp.dimension == component_dimension(rm) == 32 + 46 + 58
-    assert comp.capacity == Fraction(68)
-    assert comp.to_json() == {"max_rm": rm.to_json(), "dimension": 136, "capacity": "68"}
+    assert component_dimension(rm) == 32 + 46 + 58
+    assert components_capacity([136]) == Fraction(68)
+    s = enumerate_sol(7, 2, ConvexTable.identity(7))
+    assert irreducible_components(s) == [
+        (top, component_dimension(top)) for top in maximal_elements(s)]
 
 
 def test_component_maxima_round_trip():
     for n, k in [(5, 2), (6, 2), (7, 2)]:
         s = enumerate_sol(n, k, ConvexTable.identity(n))
-        for comp in irreducible_components(s):
-            down = [rm for rm in s.rank_matrices if rm_leq(rm, comp.max_rm)]
+        for top, _ in irreducible_components(s):
+            down = [rm for rm in s.rank_matrices if rm_leq(rm, top)]
             tops = [rm for rm in down
                     if not any(rm != other and rm_leq(rm, other) for other in down)]
-            assert tops == [comp.max_rm]
+            assert tops == [top]
 
 
 def test_empty_solution_set_has_no_components():
@@ -380,9 +383,9 @@ def test_sol_capacity_frozen_small_cases():
 
 def test_capacity_is_the_best_of_unequal_components():
     s = enumerate_sol(9, 2, ConvexTable.identity(9))
-    comps = irreducible_components(s)
-    assert sorted({c.dimension for c in comps}) == [150, 156, 158]
-    assert components_capacity(comps) == sol_capacity(s) == Fraction(79)
+    dims = [dim for _, dim in irreducible_components(s)]
+    assert sorted(set(dims)) == [150, 156, 158]
+    assert components_capacity(dims) == sol_capacity(s) == Fraction(79)
     assert components_capacity([]) == float("-inf")
 
 
@@ -390,19 +393,18 @@ def test_capacity_is_the_best_of_unequal_components():
 
 def test_dominating_tuple_worked_example():
     s = enumerate_sol(5, 2, ConvexTable.identity(5))
-    dt = dominating_tuple(s)
-    assert [p.parts for p in dt.partitions] == [(3, 1, 1), (3, 1, 1), (3, 2)]
-    assert dt.is_full_block == (False, False, False)
-    assert dt.capacity_upper_bound() == Fraction(22)
-    assert dt.capacity_upper_bound() >= sol_capacity(s)
+    parts = dominating_tuple(s)
+    assert [p.parts for p in parts] == [(3, 1, 1), (3, 1, 1), (3, 2)]
+    # orbit dimensions 14, 14 and 16
+    assert capacity_upper_bound(parts) == Fraction(22)
+    assert capacity_upper_bound(parts) >= sol_capacity(s)
 
 
 def test_dominating_tuple_is_least_upper_bound():
     for n, k in [(4, 2), (5, 2), (6, 2)]:
         s = enumerate_sol(n, k, ConvexTable.identity(n))
-        dt = dominating_tuple(s)
         every = list(partitions_of(n))
-        for i, p in enumerate(dt.partitions):
+        for i, p in enumerate(dominating_tuple(s)):
             bound = partition_to_rank(p)
             rows = [rm.rows[i] for rm in s.rank_matrices]
             assert all(dominates(row, bound) for row in rows)
@@ -414,19 +416,9 @@ def test_dominating_tuple_is_least_upper_bound():
 
 def test_dominating_tuple_full_block_flag():
     s = enumerate_sol(4, 1, ConvexTable.identity(4))
-    dt = dominating_tuple(s)
-    assert dt.is_full_block == (True, True)
-    assert [p.parts for p in dt.partitions] == [(4,), (4,)]
-
-
-def test_dominating_tuple_derives_full_block_flags():
-    dt = DominatingTuple((Partition((4,)), Partition((3, 1))))
-    assert dt.is_full_block == (True, False)
-    assert dt.to_json() == {
-        "partitions": [[4], [3, 1]],
-        "full_block": [True, False],
-        "capacity_upper_bound": "11",
-    }
+    assert [p.parts for p in dominating_tuple(s)] == [(4,), (4,)]
+    # each full-block orbit has dimension n^2 - n = 12
+    assert capacity_upper_bound(dominating_tuple(s)) == Fraction(12)
 
 
 def test_dominating_tuple_empty_raises():

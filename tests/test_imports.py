@@ -39,6 +39,29 @@ def test_unused_import_is_caught():
     assert unused_imports("import os\nfrom typing import Sequence\nos.sep\n") == ["Sequence"]
 
 
+def to_json_owners(source):
+    """The class (or None at module level) of each to_json defined in source."""
+    return [node.name if isinstance(node, ast.ClassDef) else None
+            for node in ast.walk(ast.parse(source))
+            for child in ast.iter_child_nodes(node)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and child.name == "to_json"]
+
+
+def test_only_the_cli_writes_json_documents():
+    """cli.py alone knows the published layout.  ExactMatrix keeps its
+    to_json, which prints a replayed matrix as exact strings."""
+    owners = {path.name: to_json_owners(path.read_text())
+              for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"}
+    assert {name: found for name, found in owners.items() if found} == {
+        "oracle.py": ["ExactMatrix"]}
+
+
+def test_to_json_definition_is_caught():
+    source = "def to_json(x): pass\nclass A:\n    def to_json(self): pass\n"
+    assert to_json_owners(source) == [None, "A"]
+
+
 def fresh_modules(code):
     """sys.modules of a fresh interpreter after it runs code, one name a line."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
