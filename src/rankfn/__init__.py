@@ -2,8 +2,8 @@
 
 Conversions between Jordan partitions and rank functions, solvers for
 rank function equations, the dominance order and its solution-set
-geometry (components, dimensions, linear capacity), and an exact rational
-matrix engine for replaying everything on literal matrices.
+geometry (components, dimensions, linear capacity), and an exact integer
+matrix engine for replaying everything on literal, conjugated matrices.
 """
 
 from . import core, equations, geometry

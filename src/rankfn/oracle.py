@@ -1,22 +1,21 @@
-"""Exact matrix engine over the rationals.
+"""Exact integer matrix engine.
 
-Builds literal block matrices for a class, conjugates them by random
-integer matrices, and recomputes rank functions, with no floating point
-anywhere, so whatever the combinatorial layer claims about ranks can be
-replayed on actual matrices.  A matrix is stored once, as integer rows over
-one denominator; one fraction-free Gauss-Jordan elimination gives ranks and
-bases, and the ranks of powers come from the chain of row spaces
-rowspace(M^j), never from a literal power.  A random conjugate U^-1 M U is
-one elimination of [U | R U] for M = R / den: it tests U and, when U is
-nonsingular, leaves p * [I | U^-1 R U].
+Builds literal block matrices for a class, conjugates them by seeded
+unimodular integer matrices, and recomputes rank functions, with no floating
+point anywhere, so whatever the combinatorial layer claims about ranks can be
+replayed on actual matrices.  Each conjugator is U = L R for unit lower and
+upper triangular L and R, so det U = 1 and U^-1 = R^-1 L^-1 comes from
+integer substitution: conjugation never runs the elimination whose ranks it
+checks.  One fraction-free Gauss-Jordan elimination gives ranks and bases,
+and the ranks of powers come from the chain of row spaces rowspace(M^j),
+never from a literal power.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .core import MatrixClass, Partition, class_rank, partition_count, partitions_of
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0
-_ENTRY_RANGE = 3  # random integer entries are drawn from -3..3
+_ENTRIES = range(-3, 4)  # random integer entries are drawn from -3..3
 
 # verify_class_ranks refuses larger requests before any work: the biggest
 # matrix it builds, and the number of rank functions it recomputes.
@@ -43,43 +42,26 @@ ORACLE_MAX_CHECKS = 20_000
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Square rational matrix stored once: integer ``rows`` over one
-    denominator ``den``.  Rational entries (ints, Fractions, Fraction
-    strings) are accepted and brought to lowest terms, ``den > 0`` and
-    gcd(rows, den) == 1, so equal matrices compare and hash equal.  The
-    size ``n`` is the number of rows."""
+    """Square integer matrix stored once, as a tuple of integer rows; its
+    size ``n`` is the number of rows.  Raises ValueError for rows that are
+    not square or an entry that is not an int (bool included)."""
 
     rows: tuple[tuple[int, ...], ...]
-    den: int = 1
 
     def __post_init__(self) -> None:
-        rows = [tuple(row) for row in self.rows]
+        rows = tuple(tuple(row) for row in self.rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError(f"entries must form a square matrix of {len(rows)} rows")
-        if not self.den:
-            raise ValueError("denominator must be nonzero")
-        den = self.den
-        if not all(isinstance(e, int) for row in rows for e in row):
-            rows = [[Fraction(e) for e in row] for row in rows]
-            scale = lcm(*(e.denominator for row in rows for e in row))
-            rows = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
-            den *= scale
-        g = gcd(den, *(x for row in rows for x in row))
-        if den < 0:
-            g = -g
-        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in rows))
-        object.__setattr__(self, "den", den // g)
+        if not all(type(e) is int for row in rows for e in row):
+            raise ValueError("entries must be ints")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
-
     def to_json(self) -> dict:
-        return {"n": self.n, "entries": [[str(e) for e in row] for row in self.entries]}
+        return {"n": self.n, "entries": [[str(e) for e in row] for row in self.rows]}
 
 
 def _reduce(rows) -> tuple[list[list[int]], int]:
@@ -119,35 +101,30 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _left_divide(u: list[list[int]], b) -> tuple[list[list[int]], int] | None:
-    """(X, p) with X = p * U^-1 B for a square integer U, or None when U is
-    singular, from one _reduce of [U | B].
-
-    A nonsingular U leaves p * [I | U^-1 B], with p = +-det(U) the last
-    pivot.  U is singular iff the rows run out or a pivot leaves the left
-    block, i.e. some row i of the result has a zero at column i.
-    """
-    n = len(u)
-    rows, p = _reduce([[*a, *c] for a, c in zip(u, b)])
-    if len(rows) < n or any(row[i] == 0 for i, row in enumerate(rows)):
-        return None
-    return [row[n:] for row in rows], p
+def _unit_lower(rng: random.Random, n: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """A seeded unit lower triangular integer matrix L (entries -3..3 below
+    the diagonal) and L^-1, by forward substitution: L X = I gives
+    X[i][j] = [i == j] - sum over t < i of L[i][t] X[t][j]."""
+    low = [rng.choices(_ENTRIES, k=i) + [1] + [0] * (n - i - 1) for i in range(n)]
+    cols = [[] for _ in range(n)]  # the columns of X, filled a row at a time
+    for i, row in enumerate(low):
+        for j, col in enumerate(cols):
+            col.append(int(i == j) - sum(map(mul, row, col)))
+    return low, list(zip(*cols))
 
 
-def _random_invertible(rng: random.Random, n: int, right=lambda u: [()] * len(u)):
-    """Draw n x n integer matrices U (entries -3..3) until one is nonsingular;
-    returns U and _left_divide(U, right(U)), by default with an empty B."""
-    while True:
-        u = [[rng.randint(-_ENTRY_RANGE, _ENTRY_RANGE) for _ in range(n)] for _ in range(n)]
-        solved = _left_divide(u, right(u))
-        if solved is not None:
-            return u, solved
+def _unimodular(rng: random.Random, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A seeded integer U with det U = 1, and U^-1: U = L R with L unit lower
+    and R = K^T unit upper triangular, so U^-1 = R^-1 L^-1."""
+    low, low_inv = _unit_lower(rng, n)
+    k, k_inv = _unit_lower(rng, n)
+    return _int_matmul(low, list(zip(*k))), _int_matmul(list(zip(*k_inv)), low_inv)
 
 
 def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMatrix:
     """Block matrix for the class (p, q): one upper shift block per part,
-    then a seeded random invertible q x q integer block (entries -3..3,
-    resampled until nonsingular)."""
+    then a seeded unimodular q x q integer block, the U that random_conjugate
+    draws from the same seed."""
     n = p.n + q
     rows = [[0] * n for _ in range(n)]
     offset = 0
@@ -156,14 +133,14 @@ def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMa
             rows[offset + i][offset + i + 1] = 1
         offset += k
     if q:
-        block, _ = _random_invertible(random.Random(seed), q)
+        block, _ = _unimodular(random.Random(seed), q)
         for i in range(q):
             rows[offset + i][offset:] = block[i]
     return ExactMatrix(rows)
 
 
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank over the rationals (the common denominator changes no rank)."""
+    """Rank over the rationals."""
     return len(_reduce(m.rows)[0])
 
 
@@ -186,14 +163,10 @@ def matrix_rank_function(m: ExactMatrix) -> list[int]:
 
 
 def random_conjugate(m: ExactMatrix, seed: int = DEFAULT_SEED) -> ExactMatrix:
-    """U^-1 M U for a seeded random integer U with nonzero determinant.
-
-    With M = R / den for integer rows R, one elimination of [U | R U] gives
-    p * U^-1 R U, so the result is that block over p * den.
-    """
-    _, (block, p) = _random_invertible(random.Random(seed), m.n,
-                                       lambda u: _int_matmul(m.rows, u))
-    return ExactMatrix(block, p * m.den)
+    """U^-1 M U for the seeded unimodular integer U = L R (unit lower and
+    upper triangular, entries -3..3), with U^-1 = R^-1 L^-1 exact."""
+    u, u_inv = _unimodular(random.Random(seed), m.n)
+    return ExactMatrix(_int_matmul(u_inv, _int_matmul(m.rows, u)))
 
 
 def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,
