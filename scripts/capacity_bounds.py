@@ -24,13 +24,13 @@ def main():
     for n in range(2, args.max_n + 1):
         s = enumerate_sol(n, args.k, ConvexTable.identity(n))
         cap = sol_capacity(s)
-        if not s.tuples:
+        if not s.lhs:
             print(f"{n:>4} {0:>7} {'-inf':>9} {'':>7}  (no solutions)")
             continue
         parts = dominating_tuple(s)
         desc = "  ".join(str(p) for p in parts)
         flag = " full-block" if all(len(p.parts) == 1 for p in parts) else ""
-        print(f"{n:>4} {len(s.tuples):>7} {str(cap):>9} "
+        print(f"{n:>4} {len(s.lhs):>7} {str(cap):>9} "
               f"{str(capacity_upper_bound(parts)):>7}  {desc}{flag}")
 
 

@@ -10,7 +10,7 @@ from rankfn import ConvexTable, components_capacity, enumerate_sol, irreducible_
 def row(n, k):
     s = enumerate_sol(n, k, ConvexTable.identity(n))
     dims = [dim for _, dim in irreducible_components(s)]
-    return len(s.tuples), len(dims), sorted(set(dims)), components_capacity(dims)
+    return len(s.lhs), len(dims), sorted(set(dims)), components_capacity(dims)
 
 
 def main():

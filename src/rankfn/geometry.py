@@ -96,18 +96,30 @@ def rm_leq(a: RankMatrix, b: RankMatrix) -> bool:
 class SolSet:
     """All nontrivial nilpotent solutions for one (n, k, f).
 
-    The rank matrices are derived from the tuples, one per tuple in tuple
-    order.  They are distinct, because the rows determine the partitions.
+    Stored once, as the walk's left-hand partition tuples ``lhs``; B is
+    determined by them.  The solution tuples and their rank matrices are
+    derived on first use, one per left-hand tuple in ``lhs`` order.  The
+    rank matrices are distinct, because the rows determine the partitions.
     """
 
     n: int
     k: int
     f: ConvexTable
-    tuples: tuple[SolutionTuple, ...]
+    lhs: tuple[tuple[Partition, ...], ...]
+
+    @cached_property
+    def tuples(self) -> tuple[SolutionTuple, ...]:
+        return tuple(_solution(self.f, lhs) for lhs in self.lhs)
 
     @cached_property
     def rank_matrices(self) -> tuple[RankMatrix, ...]:
         return tuple(rank_matrix(t) for t in self.tuples)
+
+
+def _solution(f: ConvexTable, lhs: tuple[Partition, ...]) -> SolutionTuple:
+    """The solution tuple of a left-hand tuple that the walk kept."""
+    # the walk keeps only tuples within the criterion, so B always exists
+    return SolutionTuple.from_partitions(lhs, solve_nilpotent(f, lhs))
 
 
 def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) -> SolSet:
@@ -118,7 +130,8 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
     per-partition costs 2 f(r(1)) - f(r(2)) sum to at most n.  That lets
     the k-fold product be walked with pruning instead of in full; the
     budget caps the number of visited states.  The walk takes the candidates
-    in ascending order, so the tuples come out in lexicographic order.
+    in ascending order, so the left-hand tuples come out in lexicographic
+    order.
 
     Before any partition is listed, a lower bound on the visits is checked
     against the budget: the root, plus the p(j) partitions with n - j parts
@@ -161,29 +174,30 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
                 grow(prefix + (p,), spent + c)
 
     grow((), 0)
-
-    # the walk keeps only tuples within the criterion, so B always exists
-    return SolSet(n=n, k=k, f=f, tuples=tuple(
-        SolutionTuple.from_partitions(lhs, solve_nilpotent(f, lhs)) for lhs in feasible))
+    return SolSet(n=n, k=k, f=f, lhs=tuple(feasible))
 
 
 def maximal_elements(s: SolSet) -> list[RankMatrix]:
     """Rank matrices not strictly below any other one in the set, in set order.
 
-    Sweeps the matrices by decreasing entry sum and keeps each one that no
-    maximum found so far dominates (Kung, Luccio and Preparata, J. ACM 1975).
-    The matrices are distinct, so anything strictly above a matrix has a
-    larger entry sum and is swept first; a non-maximal matrix therefore
-    always meets a kept maximum above it.
+    B's row is r_B(m) = sum f(r_Ai(m)) with f increasing, so the k left-hand
+    rows alone decide the entrywise order.  Each distinct left-hand partition
+    is ranked once.  The k-row matrices are swept by decreasing entry sum,
+    keeping each one that no maximum found so far dominates (Kung, Luccio and
+    Preparata, J. ACM 1975).  Distinct left-hand tuples give distinct
+    matrices, so anything strictly above a matrix has a larger entry sum and
+    is swept first; a non-maximal matrix therefore always meets a kept
+    maximum above it.  Only the maxima get a full rank matrix.
     """
-    rms = s.rank_matrices
+    rows = {p: partition_to_rank(p) for p in {p for lhs in s.lhs for p in lhs}}
+    left = [RankMatrix(tuple(rows[p] for p in lhs)) for lhs in s.lhs]
     kept: list[RankMatrix] = []
-    is_max = [False] * len(rms)
-    for i in sorted(range(len(rms)), key=lambda i: -sum(rms[i].flat)):
-        if not any(rm_leq(rms[i], top) for top in kept):
-            kept.append(rms[i])
+    is_max = [False] * len(left)
+    for i in sorted(range(len(left)), key=lambda i: -sum(left[i].flat)):
+        if not any(rm_leq(left[i], top) for top in kept):
+            kept.append(left[i])
             is_max[i] = True
-    return [rm for rm, keep in zip(rms, is_max) if keep]
+    return [rank_matrix(_solution(s.f, lhs)) for lhs, keep in zip(s.lhs, is_max) if keep]
 
 
 def irreducible_components(s: SolSet) -> list[tuple[RankMatrix, int]]:
@@ -227,14 +241,16 @@ def sol_capacity(s: SolSet) -> Fraction | float:
 
 def dominating_tuple(s: SolSet) -> tuple[Partition, ...]:
     """Least coordinatewise upper bound of the set's rank matrices: the
-    pointwise maximum of the rank functions at each coordinate.  The max of
-    valid rank functions is again one, so each coordinate names a
-    partition."""
-    if not s.tuples:
+    pointwise maximum of the rank functions at each coordinate.  Every
+    matrix lies below some maximal one, so the join of the maxima is the
+    join of the whole set.  The max of valid rank functions is again one,
+    so each coordinate names a partition."""
+    if not s.lhs:
         raise ValueError("empty solution set has no dominating tuple")
+    maxima = maximal_elements(s)
     parts = []
     for i in range(s.k + 1):
-        rows = [rm.rows[i].values for rm in s.rank_matrices]
+        rows = [rm.rows[i].values for rm in maxima]
         parts.append(rank_to_partition(RankFunction(tuple(max(col) for col in zip(*rows)))))
     return tuple(parts)
 

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from helpers import all_pairs_maxima, orbit_dimension_by_conjugate
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from rankfn import (
+    ConvexTable,
     Partition,
     RankFunction,
     RankMatrix,
@@ -168,6 +170,41 @@ def test_dominating_tuple_derives_full_block_flags(capsys):
                 Fraction(sum(orbit_dimension(p) for p in parts), 2))
             flags.update(doc["full_block"])
     assert flags == {True, False}
+
+
+@pytest.mark.parametrize("n", range(10, 13))
+def test_geometry_verbs_agree_with_all_pairs_route(n, capsys):
+    """components, capacity and dominating-tuple past the golden grid (which
+    stops at n = 8), against the maxima of every pair of full rank rows, the
+    join of every row and orbit dimensions from conjugate parts."""
+    for k in range(1, 5):
+        for f in ("id", "square"):
+            flags = ["--n", str(n), "--k", str(k), "--f", f]
+            table = ConvexTable.identity(n) if f == "id" else ConvexTable.squares(n)
+            s = geometry.enumerate_sol(n, k, table)
+            rows = [[list(r.values) for r in rm.rows] for rm in s.rank_matrices]
+            tops = all_pairs_maxima(rows)
+            dims = [sum(orbit_dimension_by_conjugate(c.nilp.parts)
+                        for c in (*s.tuples[i].lhs, s.tuples[i].rhs)) for i in tops]
+            capacity = str(Fraction(max(dims), 2))  # every set on this grid is nonempty
+            assert run_json(capsys, "components", *flags) == {
+                "count": len(tops),
+                "dimensions": dims,
+                "capacity": capacity,
+                "irreducible": len(tops) == 1,
+                "components": [
+                    {"max_rm": rows[i], "dimension": dim, "capacity": str(Fraction(dim, 2))}
+                    for i, dim in zip(tops, dims)],
+            }
+            assert run_json(capsys, "capacity", *flags) == {"capacity": capacity}
+            doc = run_json(capsys, "dominating-tuple", *flags)
+            join = [[max(entry) for entry in zip(*col)] for col in zip(*rows)]
+            # r(m) counts the boxes right of column m, block by block
+            assert [[sum(max(part - m, 0) for part in p) for m in range(n + 1)]
+                    for p in doc["partitions"]] == join
+            assert doc["full_block"] == [len(p) == 1 for p in doc["partitions"]]
+            assert doc["capacity_upper_bound"] == str(Fraction(
+                sum(orbit_dimension_by_conjugate(p) for p in doc["partitions"]), 2))
 
 
 def test_hasse_verb_emits_dot(capsys):

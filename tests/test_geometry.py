@@ -207,6 +207,21 @@ def test_enumerate_sol_rank_matrices_faithful():
                 c.nilp for c in (*t.lhs, t.rhs)]
 
 
+def test_geometry_reads_left_hand_tuples_only():
+    """Components, capacity and the dominating tuple leave the solution
+    tuples and full rank matrices unbuilt; built later, they follow lhs."""
+    for n, k, f in [(7, 2, ConvexTable.identity(7)), (11, 4, ConvexTable.identity(11)),
+                    (12, 3, ConvexTable.identity(12)), (12, 3, ConvexTable.squares(12))]:
+        s = enumerate_sol(n, k, f)
+        irreducible_components(s)
+        sol_capacity(s)
+        dominating_tuple(s)
+        assert "tuples" not in vars(s) and "rank_matrices" not in vars(s)
+        assert len(s.tuples) == len(s.lhs)
+        for i, t in enumerate(s.tuples):
+            assert tuple(c.nilp for c in t.lhs) == s.lhs[i]
+
+
 def test_enumerate_sol_deterministic_and_sorted():
     assert enumerate_sol(7, 2, ConvexTable.identity(7)) == enumerate_sol(
         7, 2, ConvexTable.identity(7))
@@ -257,17 +272,18 @@ def test_maximal_elements_n5():
 
 def sweep_cases():
     """Enumerated sets for n = 4..9, k = 1..3, f = id and square, each with a
-    few seeded random subsets of its tuples (the empty one included)."""
+    few seeded random subsets of its left-hand tuples (the empty one
+    included)."""
     rng = random.Random(4)
     for n in range(4, 10):
         for k in range(1, 4):
             for f in (ConvexTable.identity(n), ConvexTable.squares(n)):
                 s = enumerate_sol(n, k, f)
                 yield s
-                tuples = list(s.tuples)
-                for size in (0, min(1, len(tuples)), len(tuples) // 2):
-                    sub = tuple(sorted(rng.sample(tuples, size), key=tuples.index))
-                    yield SolSet(n=n, k=k, f=f, tuples=sub)
+                lhs = list(s.lhs)
+                for size in (0, min(1, len(lhs)), len(lhs) // 2):
+                    sub = tuple(sorted(rng.sample(lhs, size), key=lhs.index))
+                    yield SolSet(n=n, k=k, f=f, lhs=sub)
 
 
 def plain_rows(s):
@@ -401,15 +417,21 @@ def test_dominating_tuple_worked_example():
 
 
 def test_dominating_tuple_is_least_upper_bound():
-    for n, k in [(4, 2), (5, 2), (6, 2)]:
-        s = enumerate_sol(n, k, ConvexTable.identity(n))
-        every = list(partitions_of(n))
-        for i, p in enumerate(dominating_tuple(s)):
-            bound = partition_to_rank(p)
+    """The dominating tuple's rows are the join of every rank matrix of the
+    set, not only of the maxima it is computed from, and no smaller
+    partition bounds a coordinate."""
+    for s in sweep_cases():
+        if not s.lhs:
+            with pytest.raises(ValueError):
+                dominating_tuple(s)
+            continue
+        parts = dominating_tuple(s)
+        join = [tuple(max(entry) for entry in zip(*col)) for col in zip(*plain_rows(s))]
+        assert [partition_to_rank(p).values for p in parts] == join
+        every = [partition_to_rank(c) for c in partitions_of(s.n)]
+        for i, bound in enumerate(map(partition_to_rank, parts)):
             rows = [rm.rows[i] for rm in s.rank_matrices]
-            assert all(dominates(row, bound) for row in rows)
-            for c in every:
-                rc = partition_to_rank(c)
+            for rc in every:
                 if all(dominates(row, rc) for row in rows):
                     assert dominates(bound, rc)
 
