@@ -3,12 +3,13 @@
 Builds literal block matrices for a class, conjugates them by seeded
 unimodular integer matrices, and recomputes rank functions, with no floating
 point anywhere, so whatever the combinatorial layer claims about ranks can be
-replayed on actual matrices.  Each conjugator is U = L R for unit lower and
-upper triangular L and R, so det U = 1 and U^-1 = R^-1 L^-1 comes from
-integer substitution: conjugation never runs the elimination whose ranks it
-checks.  One fraction-free Gauss-Jordan elimination gives ranks and bases,
-and the ranks of powers come from the chain of row spaces rowspace(M^j),
-never from a literal power.
+replayed on actual matrices.  Each conjugator is U = L K^T for unit lower
+triangular L and K, so det U = 1.  U^-1 M U comes from products with the
+triangular factors, then integer forward substitution by L and back
+substitution by K^T: neither U nor an inverse is formed, and conjugation
+never runs the elimination whose ranks it checks.  One fraction-free
+Gauss-Jordan elimination gives ranks and bases, and the ranks of powers come
+from the chain of row spaces rowspace(M^j), never from a literal power.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ class ExactMatrix:
         return {"n": self.n, "entries": [[str(e) for e in row] for row in self.rows]}
 
 
-def _reduce(rows) -> tuple[list[list[int]], int]:
+def _reduce(rows) -> list[list[int]]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer
-    matrix A, skipping pivotless columns: (R, p) with R the nonzero rows of
-    p * rref(A) and p the last pivot.  Every entry stays a minor of A, so
-    each division by a pivot is exact."""
+    matrix A, skipping pivotless columns: the nonzero rows of p * rref(A),
+    with p the last pivot.  Every entry stays a minor of A, so each division
+    by the previous pivot is exact."""
     m = [list(row) for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -87,13 +88,13 @@ def _reduce(rows) -> tuple[list[list[int]], int]:
                 m[i] = [(pivot * x - factor * y) // prev for x, y in zip(m[i], top)]
         prev = pivot
         rank += 1
-    return m[:rank], prev
+    return m[:rank]
 
 
 def _basis(rows) -> list[list[int]]:
     """Echelon basis of the row space of an integer matrix, each row divided
     by its content (the gcd of its entries)."""
-    return [[x // g for x in row] for row in _reduce(rows)[0] for g in (gcd(*row),)]
+    return [[x // g for x in row] for row in _reduce(rows) for g in (gcd(*row),)]
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -101,24 +102,31 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _unit_lower(rng: random.Random, n: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-    """A seeded unit lower triangular integer matrix L (entries -3..3 below
-    the diagonal) and L^-1, by forward substitution: L X = I gives
-    X[i][j] = [i == j] - sum over t < i of L[i][t] X[t][j]."""
-    low = [rng.choices(_ENTRIES, k=i) + [1] + [0] * (n - i - 1) for i in range(n)]
-    cols = [[] for _ in range(n)]  # the columns of X, filled a row at a time
-    for i, row in enumerate(low):
-        for j, col in enumerate(cols):
-            col.append(int(i == j) - sum(map(mul, row, col)))
-    return low, list(zip(*cols))
+def _unit_lower(rng: random.Random, n: int) -> list[list[int]]:
+    """The seeded strictly lower entries of a unit lower triangular integer
+    matrix L: row i holds L[i][0..i-1], drawn from -3..3."""
+    return [rng.choices(_ENTRIES, k=i) for i in range(n)]
 
 
-def _unimodular(rng: random.Random, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """A seeded integer U with det U = 1, and U^-1: U = L R with L unit lower
-    and R = K^T unit upper triangular, so U^-1 = R^-1 L^-1."""
-    low, low_inv = _unit_lower(rng, n)
-    k, k_inv = _unit_lower(rng, n)
-    return _int_matmul(low, list(zip(*k))), _int_matmul(list(zip(*k_inv)), low_inv)
+def _times_u(rows, low: list[list[int]], k: list[list[int]]):
+    """The rows of M L K^T, for unit lower triangular L and K given by their
+    strictly lower entries.  A row of M times L runs over the row's nonzero
+    entries only, and each entry of that times K^T over K's lower triangle."""
+    for row in rows:
+        x = list(row)  # row times L's unit diagonal
+        for t, v in enumerate(row):
+            if v:
+                for c, lc in enumerate(low[t]):
+                    x[c] += v * lc
+        yield [xj + sum(map(mul, x, kj)) for xj, kj in zip(x, k)]
+
+
+def _unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A seeded integer U = L K^T with L, then K, drawn by _unit_lower, so
+    det U = 1: the conjugator random_conjugate draws from the same seed."""
+    low = _unit_lower(rng, n)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return list(_times_u(identity, low, _unit_lower(rng, n)))
 
 
 def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMatrix:
@@ -133,7 +141,7 @@ def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMa
             rows[offset + i][offset + i + 1] = 1
         offset += k
     if q:
-        block, _ = _unimodular(random.Random(seed), q)
+        block = _unimodular(random.Random(seed), q)
         for i in range(q):
             rows[offset + i][offset:] = block[i]
     return ExactMatrix(rows)
@@ -141,7 +149,7 @@ def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMa
 
 def exact_rank(m: ExactMatrix) -> int:
     """Rank over the rationals."""
-    return len(_reduce(m.rows)[0])
+    return len(_reduce(m.rows))
 
 
 def matrix_rank_function(m: ExactMatrix) -> list[int]:
@@ -163,10 +171,25 @@ def matrix_rank_function(m: ExactMatrix) -> list[int]:
 
 
 def random_conjugate(m: ExactMatrix, seed: int = DEFAULT_SEED) -> ExactMatrix:
-    """U^-1 M U for the seeded unimodular integer U = L R (unit lower and
-    upper triangular, entries -3..3), with U^-1 = R^-1 L^-1 exact."""
-    u, u_inv = _unimodular(random.Random(seed), m.n)
-    return ExactMatrix(_int_matmul(u_inv, _int_matmul(m.rows, u)))
+    """U^-1 M U for the seeded unimodular integer U = L K^T (L and K unit
+    lower triangular, entries -3..3).  Y = M L K^T is two triangular
+    products; then L Z = Y by forward substitution and K^T W = Z by back
+    substitution give W = U^-1 M U in integers, without forming U or an
+    inverse."""
+    n = m.n
+    rng = random.Random(seed)
+    low = _unit_lower(rng, n)
+    k = _unit_lower(rng, n)
+    z = [[] for _ in range(n)]  # the columns of Z, filled a row at a time
+    for li, y in zip(low, _times_u(m.rows, low, k)):
+        for col, yj in zip(z, y):
+            col.append(yj - sum(map(mul, li, col)))
+    w = [[] for _ in range(n)]  # the columns of W, filled from the last row up
+    for i in reversed(range(n)):
+        below = [k[t][i] for t in reversed(range(i + 1, n))]  # K^T[i][n-1], ..., K^T[i][i+1]
+        for col, zcol in zip(w, z):
+            col.append(zcol[i] - sum(map(mul, below, col)))
+    return ExactMatrix(list(zip(*w))[::-1])
 
 
 def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,

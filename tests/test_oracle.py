@@ -21,40 +21,54 @@ from rankfn import (
     verify_class_ranks,
 )
 
-from rankfn.oracle import _basis, _reduce, _unimodular
+from rankfn.oracle import _basis, _reduce, _unimodular, _unit_lower
 
 from helpers import frac_det, frac_inverse, frac_matmul, frac_rank, literal_power_ranks
 
 F = Fraction
 
 
-CONJUGATE_SIZES = (0, 1, 2, 3, 5, 8, 12)
+CONJUGATE_SIZES = (0, 1, 2, 3, 5, 8, 12, 13, 14)
 CONJUGATE_SEEDS = range(5)
+
+
+def _unit(strict_lower):
+    """The full unit lower triangular matrix from _unit_lower's rows."""
+    n = len(strict_lower)
+    return [row + [1] + [0] * (n - i - 1) for i, row in enumerate(strict_lower)]
 
 
 @pytest.mark.parametrize("n", CONJUGATE_SIZES)
 def test_unimodular_draw_is_exactly_inverted(n):
-    """U has determinant 1, U U^-1 = I exactly, U^-1 is the textbook
-    inverse, and a seed always gives the same pair."""
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    """U is L K^T for the seed's two unit lower triangular draws, has
+    determinant 1 and an integral textbook inverse, and a seed always gives
+    the same U."""
     for seed in CONJUGATE_SEEDS:
-        u, u_inv = _unimodular(random.Random(seed), n)
+        u = _unimodular(random.Random(seed), n)
+        rng = random.Random(seed)
+        low, k = _unit(_unit_lower(rng, n)), _unit(_unit_lower(rng, n))
+        assert u == frac_matmul(low, list(zip(*k)))
         assert frac_det(u) == 1
-        assert frac_matmul(u, u_inv) == identity
-        assert u_inv == frac_inverse(u)
-        assert _unimodular(random.Random(seed), n) == (u, u_inv)
+        assert all(e.denominator == 1 for row in frac_inverse(u) for e in row)
+        assert _unimodular(random.Random(seed), n) == u
 
 
 @pytest.mark.parametrize("n", CONJUGATE_SIZES)
 def test_random_conjugate_is_textbook_conjugate(n):
-    """random_conjugate against U^-1 M U with the textbook Fraction inverse."""
+    """random_conjugate against U^-1 M U with the textbook Fraction inverse,
+    on dense matrices and on Jordan matrices, whose rows outside the q-block
+    hold at most one nonzero entry."""
     rng = random.Random(n)
     for seed in CONJUGATE_SEEDS:
-        m = _ints(rng, n, n)
-        u, _ = _unimodular(random.Random(seed), n)
-        want = frac_matmul(frac_matmul(frac_inverse(u), m), u)
-        got = random_conjugate(ExactMatrix(m), seed=seed)
-        assert got.rows == tuple(map(tuple, want))
+        q = rng.randint(1, min(3, n)) if n else 0
+        jordan = (jordan_matrix(rng.choice(list(partitions_of(n))), seed=seed),
+                  jordan_matrix(rng.choice(list(partitions_of(n - q))), q, seed=seed))
+        u = _unimodular(random.Random(seed), n)
+        u_inv = frac_inverse(u)
+        for m in (_ints(rng, n, n), *(j.rows for j in jordan)):
+            want = frac_matmul(frac_matmul(u_inv, m), u)
+            got = random_conjugate(ExactMatrix(m), seed=seed)
+            assert got.rows == tuple(map(tuple, want)), (m, seed)
 
 
 def test_jordan_matrix_literal_entries():
@@ -62,7 +76,7 @@ def test_jordan_matrix_literal_entries():
     assert m.rows == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
     m2 = jordan_matrix(Partition((3,)))
     assert m2.rows == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
-    block, _ = _unimodular(random.Random(4), 2)
+    block = _unimodular(random.Random(4), 2)
     assert [row[1:] for row in jordan_matrix(Partition((1,)), q=2, seed=4).rows] == [
         (0, 0), *map(tuple, block)]
 
@@ -126,7 +140,7 @@ def test_int_rank_agrees_with_gauss_jordan():
         assert exact_rank(ExactMatrix(rows)) == frac_rank(rows)
     for _ in range(100):
         rows = _low_rank(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert len(_reduce(rows)[0]) == frac_rank(rows)
+        assert len(_reduce(rows)) == frac_rank(rows)
         if len(rows) == len(rows[0]):
             assert exact_rank(ExactMatrix(rows)) == frac_rank(rows)
 
