@@ -23,8 +23,6 @@ __all__ = [
     "rank_to_partition",
     "rank_to_class",
     "rank_defect",
-    "is_valid_rank_function",
-    "conjugate",
     "dominates",
     "class_rank",
     "nontrivial_blocks",
@@ -95,11 +93,6 @@ def rank_defect(seq: Sequence[int]) -> str | None:
     if any(values[m] + values[m + 2] < 2 * values[m + 1] for m in range(n - 1)):
         return "not convex"
     return None
-
-
-def is_valid_rank_function(seq: Sequence[int]) -> bool:
-    """True iff seq is (rk(M^0), ..., rk(M^n)) for some n x n matrix M."""
-    return rank_defect(seq) is None
 
 
 @dataclass(frozen=True)
@@ -209,13 +202,6 @@ def rank_to_partition(r: RankFunction) -> Partition:
         raise InvalidRankFunction(
             f"stable rank {r.stable_rank} != 0: not a nilpotent class: {r.values!r}")
     return rank_to_class(r).nilp
-
-
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    if not p.parts:
-        return p
-    return Partition(tuple(sum(1 for k in p.parts if k >= c) for c in range(1, p.parts[0] + 1)))
 
 
 def dominates(a: RankFunction, b: RankFunction) -> bool:

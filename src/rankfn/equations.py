@@ -24,10 +24,10 @@ from .core import (
     RankFunction,
     _nontrivial_ascending,
     class_rank,
-    is_valid_rank_function,
     nontrivial_blocks,
     partition_count,
     partition_to_rank,
+    rank_defect,
     rank_to_class,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "check_solution",
     "solve_nilpotent",
     "solve_with_stable_ranks",
-    "structure_check_identity",
     "check_search_budget",
     "search_general",
 ]
@@ -199,7 +198,7 @@ def _solve(f: ConvexTable, ranks: Sequence[RankFunction], n: int) -> MatrixClass
     if 2 * r[1] - r[2] > n:
         return None
     values = (n, *r[1:])
-    assert is_valid_rank_function(values), values
+    assert rank_defect(values) is None, values
     return rank_to_class(RankFunction(values))
 
 
@@ -240,17 +239,6 @@ def solve_with_stable_ranks(f: ConvexTable, lhs: Sequence[MatrixClass]) -> Matri
     if any(c.is_zero for c in lhs):
         raise ValueError("zero classes are excluded")
     return _solve(f, [class_rank(c) for c in lhs], n)
-
-
-def structure_check_identity(sol: SolutionTuple) -> bool:
-    """Structural shape forced on plain-sum (f = g = id) solutions: B's
-    nontrivial blocks are the multiset union of the left-hand nontrivial
-    blocks, and B's stable rank is the sum of the left-hand ones."""
-    pooled = sorted((k for c in sol.lhs for k in nontrivial_blocks(c.nilp)), reverse=True)
-    return (
-        list(nontrivial_blocks(sol.rhs.nilp)) == pooled
-        and sol.rhs.q == sum(c.q for c in sol.lhs)
-    )
 
 
 def check_search_budget(n: int, k: int, budget: int) -> None:

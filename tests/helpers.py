@@ -6,8 +6,10 @@ counter uses the restricted-parts recursion, the rank, determinant and
 inverse routines are plain Fraction eliminations with no fraction-free
 tricks, and the ranks of powers are taken on the literal powers.  The
 maxima filters compare every pair of matrices entry by entry, orbit
-dimensions come from squared conjugate parts, not from rank drops, and the
-enumeration's visited states are counted from part counts, not rank rows.
+dimensions come from squared conjugate parts (a transpose of the Young
+diagram), not from rank drops, the enumeration's visited states are counted
+from part counts, not rank rows, and the plain-sum structure is read off
+the part lists.
 """
 
 from collections import Counter
@@ -155,15 +157,30 @@ def enumeration_visits(n, k, f):
     return visits(0, 0)
 
 
-def orbit_dimension_by_conjugate(parts):
-    """n^2 minus the squared conjugate parts, the conjugate taken by
-    transposing the Young diagram row by row."""
-    n = sum(parts)
+def conjugate_parts(parts):
+    """The conjugate partition, by transposing the Young diagram row by row:
+    column c counts the rows longer than c."""
     conj = [0] * (max(parts) if parts else 0)
     for k in parts:
         for c in range(k):
             conj[c] += 1
-    return n * n - sum(c * c for c in conj)
+    return tuple(conj)
+
+
+def orbit_dimension_by_conjugate(parts):
+    """n^2 minus the squared conjugate parts."""
+    n = sum(parts)
+    return n * n - sum(c * c for c in conjugate_parts(parts))
+
+
+def plain_sum_structure(sol):
+    """The shape forced on plain-sum (f = g = id) solutions, read off the
+    part lists directly: B's blocks of size >= 2 are the multiset union of
+    the left-hand ones, and B's stable rank is the sum of the left-hand ones."""
+    def blocks(classes):
+        return sorted(k for c in classes for k in c.nilp.parts if k >= 2)
+    return (blocks([sol.rhs]) == blocks(sol.lhs)
+            and sol.rhs.q == sum(c.q for c in sol.lhs))
 
 
 def decreasing_windows(n):

@@ -20,10 +20,10 @@ from rankfn import (
     SolutionTuple,
     check_solution,
     enumerate_sol,
-    is_valid_rank_function,
     irreducible_components,
     partition_to_rank,
     partitions_of,
+    rank_defect,
     rank_matrix,
     rank_to_partition,
     rm_leq,
@@ -31,11 +31,10 @@ from rankfn import (
     sol_capacity,
     solve_with_stable_ranks,
     solve_nilpotent,
-    structure_check_identity,
     verify_class_ranks,
 )
 
-from helpers import realizable_sequences
+from helpers import plain_sum_structure, realizable_sequences
 
 
 def criterion(name):
@@ -169,7 +168,7 @@ def test_window_bijection_and_rejection():
         if rng.random() < 0.5:
             tail.sort(reverse=True)
         seq = (n, *tail)
-        valid = is_valid_rank_function(seq)
+        valid = rank_defect(seq) is None
         assert valid == (seq in oracles[n]), seq
         if not valid:
             rejected += 1
@@ -200,7 +199,7 @@ def test_stable_rank_structure():
                 if rhs is not None:
                     sol = SolutionTuple(tuple(prefix), rhs)
                     assert check_solution(spec, sol), sol
-                    assert structure_check_identity(sol), sol
+                    assert plain_sum_structure(sol), sol
                 return
             for c in pool:
                 rec(prefix + [c])

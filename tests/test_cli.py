@@ -1,5 +1,6 @@
 """Command-line surface: frozen outputs, schemas, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -433,6 +434,44 @@ def test_workers_flag_is_a_usage_error(verb, capsys):
         main([verb, "--n", "6", "--k", "2", "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+SIZED = [("--n", True, None, int), ("--k", True, None, int), ("--f", False, "id", None),
+         ("--budget", False, 10**6, int)]
+CLI_SURFACE = {
+    "rank": [("--jp", True, None, None), ("--q", False, 0, int)],
+    "unrank": [("--values", True, None, None)],
+    "dominates": [("--a", True, None, None), ("--b", True, None, None)],
+    "solve": [("--n", True, None, int), ("--f", False, "id", None),
+              ("--jp", True, None, None)],
+    "solve-stable": [("--n", True, None, int), ("--f", False, "id", None),
+                     ("--cls", True, None, None)],
+    "check": [("--n", True, None, int), ("--f", False, "id", None),
+              ("--g", False, "id", None), ("--cls", True, None, None),
+              ("--rhs", True, None, None), ("--include-zero", False, False, None)],
+    "search": [("--n", True, None, int), ("--k", True, None, int),
+               ("--f", False, "id", None), ("--g", False, "id", None),
+               ("--include-zero", False, False, None), ("--budget", False, 10**6, int)],
+    "enumerate": SIZED,
+    "components": SIZED,
+    "capacity": SIZED,
+    "dominating-tuple": SIZED,
+    "hasse": [("--n", True, None, int)],
+    "oracle-verify": [("--max-n", False, 5, int), ("--q-max", False, 2, int),
+                      ("--seeds", False, 5, int), ("--seed", False, None, int)],
+}
+
+
+def test_cli_surface_is_pinned():
+    """Each verb's flags, in order, with option strings, required, default
+    and type: the structure behind --help, without argparse's wrapping."""
+    verbs, = [a.choices for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    surface = {verb: [(*a.option_strings, a.required, a.default, a.type)
+                      for a in p._actions if not isinstance(a, argparse._HelpAction)]
+               for verb, p in verbs.items()}
+    assert surface == CLI_SURFACE
+    assert list(surface) == list(CLI_SURFACE)
 
 
 def test_usage_errors_exit_2():

@@ -11,17 +11,21 @@ from rankfn import (
     Partition,
     RankFunction,
     class_rank,
-    conjugate,
     dominates,
-    is_valid_rank_function,
     nontrivial_blocks,
     partition_count,
     partition_to_rank,
     partitions_of,
+    rank_defect,
     rank_to_class,
     rank_to_partition,
 )
-from helpers import count_partitions, decreasing_windows, realizable_sequences
+from helpers import (
+    conjugate_parts,
+    count_partitions,
+    decreasing_windows,
+    realizable_sequences,
+)
 
 partitions_strategy = st.lists(st.integers(1, 8), min_size=0, max_size=8).map(
     lambda parts: Partition(tuple(parts)))
@@ -107,14 +111,16 @@ def test_rank_to_partition_requires_nilpotent_tail():
     assert c == MatrixClass(Partition((2, 1)), 1)
 
 
-def test_is_valid_rank_function_examples():
-    assert not is_valid_rank_function((4, 3, 0, 0, 0))      # 4 + 0 < 2 * 3
-    assert is_valid_rank_function((5, 3, 1, 0, 0, 0))
-    assert is_valid_rank_function((4, 2, 0, 0, 0))
-    assert not is_valid_rank_function((4, 2, 0))            # wrong window length
-    assert not is_valid_rank_function((4, 2, 3, 0, 0))      # not decreasing
-    assert not is_valid_rank_function(())
-    assert is_valid_rank_function((0,))
+def test_rank_defect_examples():
+    assert rank_defect(()) == "empty sequence"
+    for bad in ((4, 2, 0, 0, 0.0), (4, 2, -1, 0, 0), (1, True)):
+        assert rank_defect(bad) == "entries must be non-negative integers", bad
+    assert rank_defect((4, 2, 0)) == "need n+1 = 5 entries for r(0) = 4, got 3"
+    assert rank_defect((4, 2, 3, 0, 0)) == "not weakly decreasing"
+    assert rank_defect((4, 3, 0, 0, 0)) == "not convex"      # 4 + 0 < 2 * 3
+    assert rank_defect((0,)) is None
+    assert rank_defect((4, 2, 0, 0, 0)) is None
+    assert rank_defect((5, 3, 1, 0, 0, 0)) is None
 
 
 def test_rank_function_rejects_invalid():
@@ -136,7 +142,7 @@ def test_validity_equals_realizability_exhaustive():
         valid_seen = 0
         nilpotent_seen = 0
         for seq in decreasing_windows(n):
-            valid = is_valid_rank_function(seq)
+            valid = rank_defect(seq) is None
             assert valid == (seq in realizable), seq
             if valid:
                 valid_seen += 1
@@ -156,18 +162,6 @@ def test_rank_functions_stay_constant_once_flat(p, q):
         if values[m] == values[m + 1]:
             assert len(set(values[m:])) == 1
             break
-
-
-def test_conjugate_examples():
-    assert conjugate(Partition((3, 2))) == Partition((2, 2, 1))
-    assert conjugate(Partition((2, 2, 1, 1))) == Partition((4, 2))
-    assert conjugate(Partition(())) == Partition(())
-
-
-@given(partitions_strategy)
-def test_conjugate_is_involution(p):
-    assert conjugate(conjugate(p)) == p
-    assert conjugate(p).n == p.n
 
 
 def test_dominates_examples():
@@ -192,9 +186,9 @@ def test_dominance_duality_exhaustive():
     for n in range(1, 9):
         ps = list(partitions_of(n))
         for a in ps:
-            ca = conjugate(a).parts
+            ca = conjugate_parts(a.parts)
             for b in ps:
-                cb = conjugate(b).parts
+                cb = conjugate_parts(b.parts)
                 width = max(len(ca), len(cb))
                 by_conj = all(
                     sum(ca[:m + 1]) >= sum(cb[:m + 1]) for m in range(width))

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, the
-package declares each export once, and a CLI process loads neither the
-process machinery nor the oracle."""
+package declares each export once, every export has a caller outside the
+tests, and a CLI process loads neither the process machinery nor the
+oracle."""
 
 import ast
 import os
@@ -12,7 +13,8 @@ import pytest
 
 import rankfn
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rankfn"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rankfn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,6 +39,54 @@ def test_module_uses_every_import(path):
 
 def test_unused_import_is_caught():
     assert unused_imports("import os\nfrom typing import Sequence\nos.sep\n") == ["Sequence"]
+
+
+def used_names(source, kinds=(ast.Name, ast.Attribute, ast.alias)):
+    """Names that nodes of the given kinds carry in source.  A use inside a
+    top-level def or class does not count for that definition's own name."""
+    used = set()
+    for stmt in ast.parse(source).body:
+        names = {node.id if isinstance(node, ast.Name)
+                 else node.attr if isinstance(node, ast.Attribute) else node.name
+                 for node in ast.walk(stmt) if isinstance(node, kinds)}
+        names.discard(getattr(stmt, "name", None))  # only def and class statements have one
+        used |= names
+    return used
+
+
+def unused_exports(exports, library, scripts, bench):
+    """Exports that no library module, script or benchmark file uses.  The
+    benchmark counts only as attributes (``oracle.exact_rank``), so its own
+    reference routes of the same name (``conjugate(p)``) are no callers."""
+    used = set()
+    for source in [*library, *scripts]:
+        used |= used_names(source)
+    for source in bench:
+        used |= used_names(source, (ast.Attribute,))
+    return [name for name in exports if name not in used]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    def sources(folder):
+        return [path.read_text() for path in sorted(folder.glob("*.py"))]
+    assert unused_exports(rankfn.__all__, sources(SRC), sources(ROOT / "scripts"),
+                          sources(ROOT / "bench")) == []
+
+
+def test_unused_export_is_caught():
+    """Only its own body uses walk in the library, Box and spare; a script
+    imports walk, and the benchmark calls its own local by plain name."""
+    exports = ["walk", "lift", "spare", "Box", "local"]
+    library = ("__all__ = ['walk', 'lift', 'spare', 'Box', 'local']\n"
+               "def walk(n):\n    return walk(n - 1)\n"
+               "def lift():\n    return 1\n"
+               "def spare():\n    return lift()\n"
+               "class Box:\n    def grow(self):\n        return Box()\n"
+               "def local():\n    return 0\n")
+    scripts = "from pkg import walk\n"
+    bench = "def local():\n    return 0\nlocal()\n"
+    assert unused_exports(exports, [library], [scripts], [bench]) == ["spare", "Box", "local"]
+    assert unused_exports(["local"], [library], [], ["pkg.local()\n"]) == []
 
 
 def to_json_owners(source):
