@@ -31,8 +31,8 @@ from rankfn import (
     sol_capacity,
     solve_with_stable_ranks,
     solve_nilpotent,
-    verify_class_ranks,
 )
+from rankfn.oracle import verify_class_ranks
 
 from helpers import plain_sum_structure, realizable_sequences
 

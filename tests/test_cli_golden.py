@@ -29,15 +29,18 @@ def _triangular(n):
     return "table:" + ",".join(str(i * (i + 1) // 2) for i in range(n + 1))
 
 
+def _grid(verb, ns, ks):
+    return [[verb, "--n", str(n), "--k", str(k), "--f", f]
+            for n in ns for k in ks for f in ("id", "square", _triangular(n))]
+
+
 def requests():
     """Every verb of the solution-set grid at n = 2..8, k = 1..3, plus the
-    other verbs and the refusals."""
+    other verbs and the refusals; then the grid at n = 9..12, k = 1..4 and
+    the benchmark's fixed requests beyond it, up to n = 16."""
     out = []
     for verb in GRID_VERBS:
-        for n in range(2, 9):
-            for k in (1, 2, 3):
-                for f in ("id", "square", _triangular(n)):
-                    out.append([verb, "--n", str(n), "--k", str(k), "--f", f])
+        out += _grid(verb, range(2, 9), (1, 2, 3))
         for n in (4, 8):
             for f in MALFORMED_F:
                 out.append([verb, "--n", str(n), "--k", "2", "--f", f])
@@ -73,6 +76,17 @@ def requests():
     out.append(["oracle-verify", "--max-n", "3", "--q-max", "1", "--seeds", "1"])
     out.append(["oracle-verify", "--max-n", "13", "--q-max", "0", "--seeds", "0"])
     out.append(["oracle-verify", "--max-n", "-3"])
+    for verb in GRID_VERBS:
+        out += _grid(verb, range(9, 13), (1, 2, 3, 4))
+    for n, k in ((13, 3), (15, 2), (13, 4)):
+        out.append(["enumerate", "--n", str(n), "--k", str(k)])
+    for n in (13, 14):
+        out.append(["search", "--n", str(n), "--k", "2", "--f", "square", "--g", "square",
+                    "--budget", "1000000000"])
+    for n in (10, 11):
+        out.append(["components", "--n", str(n), "--k", "5"])
+    for n in (12, 16):
+        out.append(["hasse", "--n", str(n)])
     return out
 
 

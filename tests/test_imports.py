@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, the
 package declares each export once, every export has a caller outside the
-tests, and a CLI process loads neither the process machinery nor the
-oracle."""
+tests, and neither a CLI process nor the package import loads the oracle,
+whose names live in `rankfn.oracle` alone."""
 
 import ast
 import os
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import rankfn
+import rankfn.oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rankfn"
@@ -69,7 +70,8 @@ def unused_exports(exports, library, scripts, bench):
 def test_every_export_has_a_caller_outside_the_tests():
     def sources(folder):
         return [path.read_text() for path in sorted(folder.glob("*.py"))]
-    assert unused_exports(rankfn.__all__, sources(SRC), sources(ROOT / "scripts"),
+    exports = [*rankfn.__all__, *rankfn.oracle.__all__]
+    assert unused_exports(exports, sources(SRC), sources(ROOT / "scripts"),
                           sources(ROOT / "bench")) == []
 
 
@@ -128,12 +130,11 @@ def test_cli_import_leaves_pool_and_oracle_unloaded():
     assert not loaded & {"concurrent.futures", "multiprocessing", "rankfn.oracle"}
 
 
-def test_oracle_names_load_on_first_use():
-    loaded = fresh_modules("from rankfn import ExactMatrix, verify_class_ranks")
-    assert "rankfn.oracle" in loaded
-    from rankfn.oracle import ExactMatrix, verify_class_ranks
-    assert rankfn.ExactMatrix is ExactMatrix
-    assert rankfn.verify_class_ranks is verify_class_ranks
+def test_package_import_leaves_oracle_unloaded():
+    loaded = fresh_modules("import rankfn\nfrom rankfn import *")
+    assert "rankfn.geometry" in loaded
+    assert "rankfn.oracle" not in loaded
+    assert not hasattr(rankfn, "ExactMatrix")
 
 
 def test_every_exported_name_resolves():
@@ -153,12 +154,11 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_package_exports_are_the_module_lists():
     """Each public name is declared once, in its module's __all__."""
-    from rankfn import core, equations, geometry, oracle
+    from rankfn import core, equations, geometry
     declared = [*core.__all__, *equations.__all__, *geometry.__all__]
-    assert rankfn.__all__ == [*declared, *rankfn._ORACLE_NAMES]
-    # the hand-kept oracle list names every export but the seed constant
-    assert set(rankfn._ORACLE_NAMES) == set(oracle.__all__) - {"DEFAULT_SEED"}
+    assert rankfn.__all__ == declared
     assert len(set(rankfn.__all__)) == len(rankfn.__all__)
     init = ast.parse((SRC / "__init__.py").read_text())
     literals = {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
-    assert not literals & set(declared)
+    assert not literals & {*declared, *rankfn.oracle.__all__}
+    assert not hasattr(rankfn, "__getattr__")

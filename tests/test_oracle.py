@@ -8,20 +8,24 @@ import pytest
 
 from rankfn import (
     ConvexTable,
-    ExactMatrix,
     MatrixClass,
     Partition,
     class_rank,
     enumerate_sol,
+    partitions_of,
+)
+from rankfn.oracle import (
+    ExactMatrix,
+    _basis,
+    _reduce,
+    _unimodular,
+    _unit_lower,
     exact_rank,
     jordan_matrix,
     matrix_rank_function,
-    partitions_of,
     random_conjugate,
     verify_class_ranks,
 )
-
-from rankfn.oracle import _basis, _reduce, _unimodular, _unit_lower
 
 from helpers import frac_det, frac_inverse, frac_matmul, frac_rank, literal_power_ranks
 
