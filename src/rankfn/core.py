@@ -234,14 +234,6 @@ def _partition_tuples(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _nontrivial_ascending(n: int) -> list[Partition]:
-    """Partitions of n with a block >= 2 in ascending lexicographic order, the
-    order in which ``enumerate_sol`` and ``search_general`` emit solutions."""
-    cand = [p for p in partitions_of(n) if nontrivial_blocks(p)]
-    cand.reverse()  # no part list of n is a prefix of another
-    return cand
-
-
 _PARTITION_COUNTS = [1]  # p(0), p(1), ...: grown bottom-up and kept
 
 

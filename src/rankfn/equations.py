@@ -22,11 +22,11 @@ from .core import (
     MatrixClass,
     Partition,
     RankFunction,
-    _nontrivial_ascending,
     class_rank,
     nontrivial_blocks,
     partition_count,
     partition_to_rank,
+    partitions_of,
     rank_defect,
     rank_to_class,
 )
@@ -194,12 +194,17 @@ def _solve(f: ConvexTable, ranks: Sequence[RankFunction], n: int) -> MatrixClass
     """
     if len(f.values) < n + 1:
         raise InvalidTable(f"f table must cover 0..{n}")
-    r = [sum(f(rk.at(m)) for rk in ranks) for m in range(n + 1)]
-    if 2 * r[1] - r[2] > n:
+    values = _f_sum(f, ranks, n)
+    if 2 * values[1] - values[2] > n:
         return None
-    values = (n, *r[1:])
     assert rank_defect(values) is None, values
     return rank_to_class(RankFunction(values))
+
+
+def _f_sum(f: FnTable, ranks: Sequence[RankFunction], n: int) -> tuple[int, ...]:
+    """(n, r(1), ..., r(n)) with r(m) the sum of f(rk(m)) over ranks: the
+    rank function of B whenever B exists."""
+    return (n, *(sum(f(rk.at(m)) for rk in ranks) for m in range(1, n + 1)))
 
 
 def solve_nilpotent(f: ConvexTable, lhs: Sequence[Partition]) -> Partition | None:
@@ -267,7 +272,8 @@ def search_general(spec: EquationSpec, budget: int = DEFAULT_BUDGET) -> list[Sol
     in ascending order, so the output is lexicographic on the partitions.
     """
     check_search_budget(spec.n, spec.k, budget)
-    cand = _nontrivial_ascending(spec.n)
+    cand = [p for p in partitions_of(spec.n) if nontrivial_blocks(p)]
+    cand.reverse()  # ascending: no part list of n is a prefix of another
     points = list(spec.points())
     fvec = {p: tuple(spec.f(partition_to_rank(p).at(m)) for m in points) for p in cand}
     rhs_index: dict[tuple[int, ...], list[Partition]] = {}

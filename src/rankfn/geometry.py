@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import le
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     InvalidRankFunction,
     Partition,
     RankFunction,
-    _nontrivial_ascending,
+    _partition_tuples,
     class_rank,
-    partition_count,
     partition_to_rank,
     partitions_of,
     rank_to_partition,
@@ -34,6 +33,7 @@ from .equations import (
     ConvexTable,
     InvalidTable,
     SolutionTuple,
+    _f_sum,
     solve_nilpotent,
 )
 
@@ -128,16 +128,16 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
 
     Solvability is additive across coordinates: the tuple works iff the
     per-partition costs 2 f(r(1)) - f(r(2)) sum to at most n.  That lets
-    the k-fold product be walked with pruning instead of in full; the
-    budget caps the number of visited states.  The walk takes the candidates
-    in ascending order, so the left-hand tuples come out in lexicographic
-    order.
+    the k-fold product be walked with pruning instead of in full: a prefix
+    is extended by a partition only when its cost fits the slack, n minus
+    the cost spent so far and 2 f(1) for each coordinate still to fill.
+    The walk takes the candidates in ascending order, so the left-hand
+    tuples come out in lexicographic order.
 
-    Before any partition is listed, a lower bound on the visits is checked
-    against the budget: the root, plus the p(j) partitions with n - j parts
-    for each j <= n/2 with 2 f(j) <= n - 2 (k-1) f(1).  Each of those costs
-    at most 2 f(j), and the root's slack is at least n - 2 (k-1) f(1),
-    because (2, 1, ..., 1) costs 2 f(1) - f(0).
+    The budget caps the states the walk visits: the root, every prefix and
+    every full tuple.  That number is counted exactly from the cost classes
+    (see ``_cost_classes``) before any partition is listed, and a request
+    over the budget is refused then.
     """
     if n < 2:
         raise ValueError(f"matrix size must be at least 2: n = {n}")
@@ -145,36 +145,75 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
         raise ValueError(f"need at least one left-hand coordinate: k = {k}")
     if len(f.values) < n + 1:
         raise InvalidTable(f"f table must cover 0..{n}")
-    room = n - 2 * (k - 1) * f(1)
-    least = 1
-    for j in range(1, n // 2 + 1):
-        if least > budget:
+    least = 2 * f(1)  # the cost of (2, 1, ..., 1), the cheapest partition
+    classes = sorted(_cost_classes(n, n - (k - 1) * least, f, budget))  # by cost
+    visits, layer = 1, {0: 1}  # nodes at this depth, by the cost they spent
+    for depth in range(k):
+        if not layer:
             break
-        if 2 * f(j) <= room:
-            least += partition_count(j)
-    if least > budget:
-        raise BudgetExceeded(f"enumeration visited more than {budget} states")
-    cand = _nontrivial_ascending(n)
-    costs = [2 * f(r.at(1)) - f(r.at(2)) for r in map(partition_to_rank, cand)]
-    min_cost = min(costs)
-    feasible: list[tuple[Partition, ...]] = []
-    visited = 0
-
-    def grow(prefix: tuple[Partition, ...], spent: int) -> None:
-        nonlocal visited
-        visited += 1
-        if visited > budget:
+        below: dict[int, int] = {}
+        for spent, nodes in layer.items():
+            slack = n - spent - (k - depth - 1) * least
+            for cost, _, _, size in classes:
+                if cost > slack:
+                    break
+                below[spent + cost] = below.get(spent + cost, 0) + nodes * size
+        visits += sum(below.values())
+        if visits > budget:
             raise BudgetExceeded(f"enumeration visited more than {budget} states")
+        layer = below
+    cand = sorted(((parts, cost) for cost, a, m, _ in classes
+                   for parts in _class_members(n, a, m)), reverse=True)
+    cand = [(Partition(parts), cost) for parts, cost in cand]  # descending: popped ascending
+    feasible: list[tuple[Partition, ...]] = []
+    stack: list[tuple[tuple[Partition, ...], int]] = [((), 0)]
+    while stack:  # k can exceed the recursion limit
+        prefix, spent = stack.pop()
         if len(prefix) == k:
             feasible.append(prefix)
-            return
-        slack = n - spent - (k - len(prefix) - 1) * min_cost
-        for p, c in zip(cand, costs):
-            if c <= slack:
-                grow(prefix + (p,), spent + c)
-
-    grow((), 0)
+            continue
+        slack = n - spent - (k - len(prefix) - 1) * least
+        stack.extend((prefix + (p,), spent + c) for p, c in cand if c <= slack)
     return SolSet(n=n, k=k, f=f, lhs=tuple(feasible))
+
+
+def _cost_classes(n: int, room: int, f: ConvexTable,
+                  budget: int) -> list[tuple[int, int, int, int]]:
+    """(cost, a, m, size) for each cost class of nontrivial partitions of n
+    whose cost is at most room, by increasing a, then m.
+
+    A partition with n - a parts, m of them >= 2, has r(1) = a and
+    r(2) = a - m, so its cost is 2 f(a) - f(a - m), which grows with m and,
+    at m = 1, with a.  The class (a, m) has as many members as there are
+    partitions of a into exactly m parts.  The root has one child per
+    member, so the scan refuses as soon as the root and its children pass
+    the budget.
+    """
+    exact = [[1]]  # exact[b][j]: partitions of b into exactly j parts
+    classes = []
+    visits = 1
+    for a in range(1, n):
+        if 2 * f(a) - f(a - 1) > room:
+            break
+        exact.append([0] + [exact[a - 1][j - 1] + (exact[a - j][j] if 2 * j <= a else 0)
+                            for j in range(1, a + 1)])
+        for m in range(1, min(a, n - a) + 1):
+            cost = 2 * f(a) - f(a - m)
+            if cost > room:
+                break
+            classes.append((cost, a, m, exact[a][m]))
+            visits += exact[a][m]
+            if visits > budget:
+                raise BudgetExceeded(f"enumeration visited more than {budget} states")
+    return classes
+
+
+def _class_members(n: int, a: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Part lists of the partitions of n with n - a parts, m of them >= 2:
+    the conjugates of (n - a, m, *rho) for rho a partition of a - m with
+    parts <= m."""
+    for rho in _partition_tuples(a - m, m):
+        yield (*(2 + sum(x >= j for x in rho) for j in range(1, m + 1)), *(1,) * (n - a - m))
 
 
 def maximal_elements(s: SolSet) -> list[RankMatrix]:
@@ -187,7 +226,8 @@ def maximal_elements(s: SolSet) -> list[RankMatrix]:
     Preparata, J. ACM 1975).  Distinct left-hand tuples give distinct
     matrices, so anything strictly above a matrix has a larger entry sum and
     is swept first; a non-maximal matrix therefore always meets a kept
-    maximum above it.  Only the maxima get a full rank matrix.
+    maximum above it.  Only the maxima get B's row, the f-sum of their
+    left-hand rows.
     """
     rows = {p: partition_to_rank(p) for p in {p for lhs in s.lhs for p in lhs}}
     left = [RankMatrix(tuple(rows[p] for p in lhs)) for lhs in s.lhs]
@@ -197,7 +237,8 @@ def maximal_elements(s: SolSet) -> list[RankMatrix]:
         if not any(rm_leq(left[i], top) for top in kept):
             kept.append(left[i])
             is_max[i] = True
-    return [rank_matrix(_solution(s.f, lhs)) for lhs, keep in zip(s.lhs, is_max) if keep]
+    return [RankMatrix((*rm.rows, RankFunction(_f_sum(s.f, rm.rows, s.n))))
+            for rm, keep in zip(left, is_max) if keep]
 
 
 def irreducible_components(s: SolSet) -> list[tuple[RankMatrix, int]]:

@@ -348,6 +348,9 @@ def test_budget_errors(capsys):
     # over the size cap: rank lists r on the whole window 0..n
     ["rank", "--jp", "400000000"],
     ["rank", "--jp", "2", "--q", "1000000000"],
+    # k near n/2: few candidates fit, but the walk's visits pass the budget
+    ["enumerate", "--n", "2000", "--k", "999"],
+    ["components", "--n", "10000", "--k", "4999"],
 ])
 def test_huge_requests_are_refused_in_a_fresh_process(argv):
     """Refused before p(n), a huge power, a table or a rank row on 0..n is
@@ -357,6 +360,16 @@ def test_huge_requests_are_refused_in_a_fresh_process(argv):
     assert proc.returncode == 1 and proc.stdout == b""
     assert b"Traceback" not in proc.stderr and proc.stderr.count(b"\n") == 1
     assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
+
+
+def test_deep_enumeration_finishes_in_a_fresh_process():
+    """k = 1001 coordinates at n = 2k: one solution, found without recursing
+    k deep, and the capacity is half the closed-form dimension 6k^2 - 2k."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankfn", "capacity", "--n", "2002", "--k", "1001"],
+        capture_output=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert json.loads(proc.stdout) == {"capacity": str(3 * 1001 ** 2 - 1001)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -382,12 +395,15 @@ def test_over_budget_search_is_refused_before_any_table(argv, capsys, monkeypatc
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "30", "--k", "2", "--budget", "10"],
     ["capacity", "--n", "50", "--k", "3", "--budget", "1000"],
+    # five states at the root, but more than 10^6 below it
+    ["components", "--n", "2000", "--k", "999", "--budget", "1000000"],
 ])
 def test_over_budget_enumeration_is_refused_before_any_partition(argv, capsys, monkeypatch):
-    def no_partitions(n):
-        raise AssertionError(f"the partitions of {n} were listed for {argv}")
+    def no_partitions(*args):
+        raise AssertionError(f"partitions were listed for {argv}")
 
-    monkeypatch.setattr(geometry, "_nontrivial_ascending", no_partitions)
+    for lister in ("_class_members", "partitions_of"):
+        monkeypatch.setattr(geometry, lister, no_partitions)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "BudgetExceeded", "detail":
@@ -594,10 +610,13 @@ def verb_requests(draw):
         # q-max and seeds stay low: max n = 9 with q-max = 3 takes half a second
         return [verb, *_flags(max_n=n, q_max=draw(st.integers(-1, 1)),
                               seeds=draw(st.integers(-1, 0)), seed=budget)]
-    argv = [verb, *_flags(n=n, k=k, f=draw(TABLES), budget=budget)]
     if verb == "search":
-        argv += ["--g", draw(TABLES)]
-    return argv
+        return [verb, *_flags(n=n, k=k, f=draw(TABLES), budget=budget, g=draw(TABLES))]
+    # the solution-set walk refuses by its exact visit count, so sizes reach
+    # n = 24 and k = n // 2 in milliseconds
+    n = draw(st.integers(-2, 24))
+    k = draw(st.integers(-1, max(3, n // 2)))
+    return [verb, *_flags(n=n, k=k, f=draw(TABLES), budget=budget)]
 
 
 @settings(max_examples=600, deadline=None)

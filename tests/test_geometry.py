@@ -244,12 +244,12 @@ def test_enumerate_sol_budget_boundary():
     """A budget of exactly the walk's visited states is enough and one less
     is refused, so the refusal before any partition is listed never turns
     away a request the walk would finish."""
-    for n in range(2, 13):
+    for n in range(2, 15):
         for values in (range(n + 1), [i * i for i in range(n + 1)],
                        [i * (i + 1) // 2 for i in range(n + 1)],
                        [2 ** i - 1 for i in range(n + 1)]):
             f = ConvexTable(tuple(values))
-            for k in range(1, 5):
+            for k in range(1, n // 2 + 2):
                 visits = enumeration_visits(n, k, f.values)
                 enumerate_sol(n, k, f, budget=visits)
                 with pytest.raises(BudgetExceeded,
