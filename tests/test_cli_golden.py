@@ -102,14 +102,19 @@ def outcome(argv):
 
 
 def test_cli_matches_golden_outputs():
-    """The golden requests, replayed in reverse order after a usage error,
-    give the recorded outcomes: the parser is shared by every call in a
-    process, and the requests stay independent."""
     golden = json.loads(GOLDEN.read_text())
     assert [g["argv"] for g in golden] == requests()
+    mismatched = [g["argv"] for g in golden if outcome(g["argv"]) != g]
+    assert not mismatched, mismatched
+
+
+def test_requests_in_one_process_stay_independent():
+    """The parser is shared by every call in a process: a usage error and
+    then the golden requests in reverse order give the same outcomes."""
     with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         main(["solve", "--n", "4"])
     assert exc.value.code == 2
+    golden = json.loads(GOLDEN.read_text())
     mismatched = [g["argv"] for g in reversed(golden) if outcome(g["argv"]) != g]
     assert not mismatched, mismatched
 
