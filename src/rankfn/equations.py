@@ -194,17 +194,22 @@ def _solve(f: ConvexTable, ranks: Sequence[RankFunction], n: int) -> MatrixClass
     """
     if len(f.values) < n + 1:
         raise InvalidTable(f"f table must cover 0..{n}")
-    values = _f_sum(f, ranks, n)
+    values = _f_sum(n, [_f_image(f, rk.values) for rk in ranks])
     if 2 * values[1] - values[2] > n:
         return None
     assert rank_defect(values) is None, values
     return rank_to_class(RankFunction(values))
 
 
-def _f_sum(f: FnTable, ranks: Sequence[RankFunction], n: int) -> tuple[int, ...]:
-    """(n, r(1), ..., r(n)) with r(m) the sum of f(rk(m)) over ranks: the
-    rank function of B whenever B exists."""
-    return (n, *(sum(f(rk.at(m)) for rk in ranks) for m in range(1, n + 1)))
+def _f_image(f: FnTable, row: tuple[int, ...]) -> tuple[int, ...]:
+    """(f(r(1)), ..., f(r(n))) for a rank row r stored on 0..n."""
+    return tuple(map(f.values.__getitem__, row[1:]))
+
+
+def _f_sum(n: int, images: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """(n, r(1), ..., r(n)) with r(m) the sum of the rows' f-images at m:
+    the rank function of B whenever B exists."""
+    return (n, *map(sum, zip(*images)))
 
 
 def solve_nilpotent(f: ConvexTable, lhs: Sequence[Partition]) -> Partition | None:

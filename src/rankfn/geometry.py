@@ -24,7 +24,6 @@ from .core import (
     _partition_tuples,
     class_rank,
     partition_to_rank,
-    partitions_of,
     rank_to_partition,
 )
 from .equations import (
@@ -33,6 +32,7 @@ from .equations import (
     ConvexTable,
     InvalidTable,
     SolutionTuple,
+    _f_image,
     _f_sum,
     solve_nilpotent,
 )
@@ -237,8 +237,21 @@ def maximal_elements(s: SolSet) -> list[RankMatrix]:
         if not any(rm_leq(left[i], top) for top in kept):
             kept.append(left[i])
             is_max[i] = True
-    return [RankMatrix((*rm.rows, RankFunction(_f_sum(s.f, rm.rows, s.n))))
+    return [RankMatrix((*rm.rows, RankFunction(
+                _f_sum(s.n, [_f_image(s.f, row.values) for row in rm.rows]))))
             for rm, keep in zip(left, is_max) if keep]
+
+
+def _row_table(s: SolSet) -> tuple[dict[Partition, tuple[int, ...]], list[tuple[int, ...]]]:
+    """The rank row of each distinct left-hand partition, and B's row for
+    every solution in ``s.lhs`` order.
+
+    Each distinct partition is ranked once and its f-image taken once; B's
+    row is the f-sum of its solution's cached images.
+    """
+    rows = {p: partition_to_rank(p).values for p in {p for lhs in s.lhs for p in lhs}}
+    images = {p: _f_image(s.f, row) for p, row in rows.items()}
+    return rows, [_f_sum(s.n, [images[p] for p in lhs]) for lhs in s.lhs]
 
 
 def irreducible_components(s: SolSet) -> list[tuple[RankMatrix, int]]:
@@ -249,12 +262,17 @@ def irreducible_components(s: SolSet) -> list[tuple[RankMatrix, int]]:
 
 
 def _rank_orbit_dimension(r: RankFunction) -> int:
-    """n^2 minus the squared rank drops (the conjugate parts) of a nilpotent class."""
+    """The orbit dimension of a nilpotent class, from its rank function."""
     if r.stable_rank:
         raise InvalidRankFunction(
             f"stable rank {r.stable_rank} != 0: not a nilpotent class: {r.values!r}")
-    v = r.values
-    return r.n ** 2 - sum((a - b) ** 2 for a, b in zip(v, v[1:]))
+    return _row_orbit_dimension(r.values)
+
+
+def _row_orbit_dimension(v: tuple[int, ...]) -> int:
+    """n^2 minus the squared rank drops (the conjugate parts) of a nilpotent
+    rank row v = (n, r(1), ..., r(n))."""
+    return v[0] ** 2 - sum((a - b) ** 2 for a, b in zip(v, v[1:]))
 
 
 def orbit_dimension(p: Partition) -> int:
@@ -276,24 +294,32 @@ def components_capacity(dims: Sequence[int]) -> Fraction | float:
 def sol_capacity(s: SolSet) -> Fraction | float:
     """Largest linear subspace dimension inside the solution-set closure:
     the best component capacity as a Fraction, or float -inf for an empty
-    set.  ``str`` prints either as the CLI does."""
-    return components_capacity([dim for _, dim in irreducible_components(s)])
+    set.  ``str`` prints either as the CLI does.
+
+    Orbit dimension grows strictly along the dominance order, so a solution
+    below a maximal rank matrix has a smaller dimension than that maximum,
+    and the best component dimension is the best dimension of any solution.
+    No maxima are found: each solution's dimension is read off its rows.
+    """
+    rows, rhs_rows = _row_table(s)
+    dims = {p: _row_orbit_dimension(row) for p, row in rows.items()}
+    return components_capacity([sum(dims[p] for p in lhs) + _row_orbit_dimension(rhs)
+                                for lhs, rhs in zip(s.lhs, rhs_rows)])
 
 
 def dominating_tuple(s: SolSet) -> tuple[Partition, ...]:
     """Least coordinatewise upper bound of the set's rank matrices: the
-    pointwise maximum of the rank functions at each coordinate.  Every
-    matrix lies below some maximal one, so the join of the maxima is the
-    join of the whole set.  The max of valid rank functions is again one,
-    so each coordinate names a partition."""
+    pointwise maximum of the rank functions at each coordinate, the join of
+    the whole set.  A left-hand coordinate joins the distinct partitions
+    used there, and B's coordinate joins every solution's B row.  The max of
+    valid rank functions is again one, so each coordinate names a
+    partition."""
     if not s.lhs:
         raise ValueError("empty solution set has no dominating tuple")
-    maxima = maximal_elements(s)
-    parts = []
-    for i in range(s.k + 1):
-        rows = [rm.rows[i].values for rm in maxima]
-        parts.append(rank_to_partition(RankFunction(tuple(max(col) for col in zip(*rows)))))
-    return tuple(parts)
+    rows, rhs_rows = _row_table(s)
+    cols = [[rows[p] for p in {lhs[i] for lhs in s.lhs}] for i in range(s.k)]
+    return tuple(rank_to_partition(RankFunction(tuple(map(max, zip(*col)))))
+                 for col in (*cols, rhs_rows))
 
 
 def capacity_upper_bound(parts: Sequence[Partition]) -> Fraction:
@@ -335,13 +361,13 @@ def hasse_dot(n: int) -> str:
     if n > HASSE_MAX_N:
         raise BudgetExceeded(
             f"the partitions of n = {n} exceed the n <= {HASSE_MAX_N} cap")
-    parts = list(partitions_of(n))
-    index = {p.parts: i for i, p in enumerate(parts)}
+    parts = list(_partition_tuples(n, n))  # descending lexicographic order
+    index = {p: i for i, p in enumerate(parts)}
+    labels = [",".join(map(str, p)) for p in parts]
     lines = [f"digraph dominance_{n} {{", "  rankdir=BT;"]
-    for p in parts:
-        lines.append(f'  "{p}";')
-    for p in parts:
-        for j in sorted(index[mu] for mu in _covers(p.parts)):
-            lines.append(f'  "{p}" -> "{parts[j]}";')
+    lines += [f'  "{label}";' for label in labels]
+    for p, label in zip(parts, labels):
+        for j in sorted(index[mu] for mu in _covers(p)):
+            lines.append(f'  "{label}" -> "{labels[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

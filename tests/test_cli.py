@@ -402,7 +402,7 @@ def test_over_budget_enumeration_is_refused_before_any_partition(argv, capsys, m
     def no_partitions(*args):
         raise AssertionError(f"partitions were listed for {argv}")
 
-    for lister in ("_class_members", "partitions_of"):
+    for lister in ("_class_members", "_partition_tuples"):
         monkeypatch.setattr(geometry, lister, no_partitions)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from helpers import (
@@ -43,6 +44,7 @@ from rankfn import (
     sol_capacity,
     solve_nilpotent,
 )
+from rankfn import geometry
 
 
 def worked_tuple_n10():
@@ -270,14 +272,18 @@ def test_maximal_elements_n5():
             assert a == b or not rm_leq(a, b)
 
 
+def triangular(n):
+    return ConvexTable(tuple(i * (i + 1) // 2 for i in range(n + 1)))
+
+
 def sweep_cases():
-    """Enumerated sets for n = 4..9, k = 1..3, f = id and square, each with a
-    few seeded random subsets of its left-hand tuples (the empty one
-    included)."""
+    """Enumerated sets for n = 4..9, k = 1..3, f = id, square and
+    triangular, each with a few seeded random subsets of its left-hand
+    tuples (the empty one included)."""
     rng = random.Random(4)
     for n in range(4, 10):
         for k in range(1, 4):
-            for f in (ConvexTable.identity(n), ConvexTable.squares(n)):
+            for f in (ConvexTable.identity(n), ConvexTable.squares(n), triangular(n)):
                 s = enumerate_sol(n, k, f)
                 yield s
                 lhs = list(s.lhs)
@@ -397,6 +403,50 @@ def test_sol_capacity_frozen_small_cases():
     assert sol_capacity(enumerate_sol(5, 2, ConvexTable.identity(5))) == Fraction(19)
 
 
+def test_sol_capacity_equals_the_best_component_capacity():
+    """sol_capacity reads every solution's dimension and finds no maxima;
+    it agrees with the best dimension of the components."""
+    empty = 0
+    for s in sweep_cases():
+        dims = [dim for _, dim in irreducible_components(s)]
+        assert sol_capacity(s) == components_capacity(dims)
+        if not s.lhs:
+            assert sol_capacity(s) == float("-inf")
+            empty += 1
+    assert empty > 0
+
+
+@pytest.mark.parametrize("f", [ConvexTable.identity(12), ConvexTable.squares(12)],
+                         ids=["id", "square"])
+def test_capacity_and_dominating_tuple_find_no_maxima(f, monkeypatch):
+    s = enumerate_sol(12, 3, f)
+    dims = [dim for _, dim in irreducible_components(s)]
+    join = [tuple(max(entry) for entry in zip(*col)) for col in zip(*plain_rows(s))]
+
+    def no_maxima(s):
+        raise AssertionError("maximal elements were computed")
+
+    monkeypatch.setattr(geometry, "maximal_elements", no_maxima)
+    assert sol_capacity(s) == components_capacity(dims)
+    assert [partition_to_rank(p).values for p in dominating_tuple(s)] == join
+
+
+def test_orbit_dimension_grows_strictly_along_dominance():
+    """lambda strictly below mu in the dominance order has the smaller
+    orbit, so the best solution's dimension is the best component's.
+    Dominance is read off the partial sums of the parts."""
+    pairs = 0
+    for n in range(1, 11):
+        parts = [p.parts for p in partitions_of(n)]
+        sums = {p: list(accumulate(p + (0,) * (n - len(p)))) for p in parts}
+        for lam in parts:
+            for mu in parts:
+                if lam != mu and all(a <= b for a, b in zip(sums[lam], sums[mu])):
+                    assert orbit_dimension_by_conjugate(lam) < orbit_dimension_by_conjugate(mu)
+                    pairs += 1
+    assert pairs > 0
+
+
 def test_capacity_is_the_best_of_unequal_components():
     s = enumerate_sol(9, 2, ConvexTable.identity(9))
     dims = [dim for _, dim in irreducible_components(s)]
@@ -418,8 +468,7 @@ def test_dominating_tuple_worked_example():
 
 def test_dominating_tuple_is_least_upper_bound():
     """The dominating tuple's rows are the join of every rank matrix of the
-    set, not only of the maxima it is computed from, and no smaller
-    partition bounds a coordinate."""
+    set, and no smaller partition bounds a coordinate."""
     for s in sweep_cases():
         if not s.lhs:
             with pytest.raises(ValueError):
