@@ -261,14 +261,6 @@ def irreducible_components(s: SolSet) -> list[tuple[RankMatrix, int]]:
     return [(rm, component_dimension(rm)) for rm in maximal_elements(s)]
 
 
-def _rank_orbit_dimension(r: RankFunction) -> int:
-    """The orbit dimension of a nilpotent class, from its rank function."""
-    if r.stable_rank:
-        raise InvalidRankFunction(
-            f"stable rank {r.stable_rank} != 0: not a nilpotent class: {r.values!r}")
-    return _row_orbit_dimension(r.values)
-
-
 def _row_orbit_dimension(v: tuple[int, ...]) -> int:
     """n^2 minus the squared rank drops (the conjugate parts) of a nilpotent
     rank row v = (n, r(1), ..., r(n))."""
@@ -277,12 +269,17 @@ def _row_orbit_dimension(v: tuple[int, ...]) -> int:
 
 def orbit_dimension(p: Partition) -> int:
     """Dimension of the conjugation orbit of a nilpotent class."""
-    return _rank_orbit_dimension(partition_to_rank(p))
+    return _row_orbit_dimension(partition_to_rank(p).values)
 
 
 def component_dimension(rm: RankMatrix) -> int:
-    """Sum of the rows' orbit dimensions (a product of orbit closures)."""
-    return sum(_rank_orbit_dimension(row) for row in rm.rows)
+    """Sum of the rows' orbit dimensions (a product of orbit closures).
+    Raises InvalidRankFunction for a row of nonzero stable rank."""
+    for r in rm.rows:
+        if r.stable_rank:
+            raise InvalidRankFunction(
+                f"stable rank {r.stable_rank} != 0: not a nilpotent class: {r.values!r}")
+    return sum(_row_orbit_dimension(row.values) for row in rm.rows)
 
 
 def components_capacity(dims: Sequence[int]) -> Fraction | float:

@@ -4,10 +4,11 @@ Builds literal block matrices for a class, conjugates them by seeded
 unimodular integer matrices, and recomputes rank functions, with no floating
 point anywhere, so whatever the combinatorial layer claims about ranks can be
 replayed on actual matrices.  Each conjugator is U = L K^T for unit lower
-triangular L and K, so det U = 1.  U^-1 M U comes from products with the
-triangular factors, then integer forward substitution by L and back
-substitution by K^T: neither U nor an inverse is formed, and conjugation
-never runs the elimination whose ranks it checks.  One fraction-free
+triangular L and K, so det U = 1.  U is kept as its product of elementary
+factors E = I + c e_i e_j^T, each with the integer inverse I - c e_i e_j^T,
+so U^-1 M U is one loop of integer column and row operations: neither U nor
+an inverse is formed, nothing divides, and conjugation never runs the
+elimination whose ranks it checks.  One fraction-free
 Gauss-Jordan elimination gives ranks and bases, and the ranks of powers come
 from the chain of row spaces rowspace(M^j), never from a literal power.
 """
@@ -108,25 +109,25 @@ def _unit_lower(rng: random.Random, n: int) -> list[list[int]]:
     return [rng.choices(_ENTRIES, k=i) for i in range(n)]
 
 
-def _times_u(rows, low: list[list[int]], k: list[list[int]]):
-    """The rows of M L K^T, for unit lower triangular L and K given by their
-    strictly lower entries.  A row of M times L runs over the row's nonzero
-    entries only, and each entry of that times K^T over K's lower triangle."""
-    for row in rows:
-        x = list(row)  # row times L's unit diagonal
-        for t, v in enumerate(row):
-            if v:
-                for c, lc in enumerate(low[t]):
-                    x[c] += v * lc
-        yield [xj + sum(map(mul, x, kj)) for xj, kj in zip(x, k)]
+def _factors(rng: random.Random, n: int) -> list[tuple[int, int, int]]:
+    """The seeded U = L K^T, with L, then K, drawn by _unit_lower, as its
+    ordered factors (i, j, c), each an elementary E = I + c e_i e_j^T with
+    c != 0: L column by column, then K^T from its last row up."""
+    low = _unit_lower(rng, n)
+    k = _unit_lower(rng, n)
+    return ([(i, t, low[i][t]) for t in range(n) for i in range(t + 1, n) if low[i][t]]
+            + [(t, i, k[i][t]) for t in reversed(range(n)) for i in range(t + 1, n) if k[i][t]])
 
 
 def _unimodular(rng: random.Random, n: int) -> list[list[int]]:
-    """A seeded integer U = L K^T with L, then K, drawn by _unit_lower, so
-    det U = 1: the conjugator random_conjugate draws from the same seed."""
-    low = _unit_lower(rng, n)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return list(_times_u(identity, low, _unit_lower(rng, n)))
+    """The seeded U = L K^T, det U = 1, as the identity times U's factors, a
+    column operation each: the conjugator random_conjugate draws from the
+    same seed."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in _factors(rng, n):
+        for row in u:
+            row[j] += c * row[i]
+    return u
 
 
 def jordan_matrix(p: Partition, q: int = 0, seed: int = DEFAULT_SEED) -> ExactMatrix:
@@ -172,24 +173,16 @@ def matrix_rank_function(m: ExactMatrix) -> list[int]:
 
 def random_conjugate(m: ExactMatrix, seed: int = DEFAULT_SEED) -> ExactMatrix:
     """U^-1 M U for the seeded unimodular integer U = L K^T (L and K unit
-    lower triangular, entries -3..3).  Y = M L K^T is two triangular
-    products; then L Z = Y by forward substitution and K^T W = Z by back
-    substitution give W = U^-1 M U in integers, without forming U or an
-    inverse."""
-    n = m.n
-    rng = random.Random(seed)
-    low = _unit_lower(rng, n)
-    k = _unit_lower(rng, n)
-    z = [[] for _ in range(n)]  # the columns of Z, filled a row at a time
-    for li, y in zip(low, _times_u(m.rows, low, k)):
-        for col, yj in zip(z, y):
-            col.append(yj - sum(map(mul, li, col)))
-    w = [[] for _ in range(n)]  # the columns of W, filled from the last row up
-    for i in reversed(range(n)):
-        below = [k[t][i] for t in reversed(range(i + 1, n))]  # K^T[i][n-1], ..., K^T[i][i+1]
-        for col, zcol in zip(w, z):
-            col.append(zcol[i] - sum(map(mul, below, col)))
-    return ExactMatrix(list(zip(*w))[::-1])
+    lower triangular, entries -3..3), conjugating by one factor
+    E = I + c e_i e_j^T of U at a time: column j += c column i gives M E,
+    then row i -= c row j gives E^-1 M E.  Nothing divides, and neither U
+    nor an inverse is formed."""
+    w = [list(row) for row in m.rows]
+    for i, j, c in _factors(random.Random(seed), m.n):
+        for row in w:
+            row[j] += c * row[i]
+        w[i] = [x - c * y for x, y in zip(w[i], w[j])]
+    return ExactMatrix(w)
 
 
 def verify_class_ranks(max_n: int, q_max: int = 2, seeds: int = 0,

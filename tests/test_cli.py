@@ -20,11 +20,10 @@ from rankfn import (
     ConvexTable,
     Partition,
     RankFunction,
-    RankMatrix,
     cli,
-    component_dimension,
     geometry,
     orbit_dimension,
+    rank_to_partition,
 )
 from rankfn.cli import main
 
@@ -134,8 +133,9 @@ def test_components_agrees_with_capacity_verb(n, capsys):
             # each component's dimension is its maximal matrix's, its capacity half that
             assert doc["dimensions"] == [c["dimension"] for c in doc["components"]]
             for comp in doc["components"]:
-                rm = RankMatrix(tuple(RankFunction(tuple(row)) for row in comp["max_rm"]))
-                assert comp["dimension"] == component_dimension(rm)
+                assert comp["dimension"] == sum(
+                    orbit_dimension_by_conjugate(rank_to_partition(RankFunction(tuple(row))).parts)
+                    for row in comp["max_rm"])
                 assert comp["capacity"] == str(Fraction(comp["dimension"], 2))
 
 

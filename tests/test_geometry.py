@@ -303,7 +303,7 @@ def test_maximal_elements_equals_all_pairs_filter():
         assert maximal_elements(s) == expected
 
 
-def test_is_irreducible_equals_some_matrix_dominating_all():
+def test_one_component_iff_some_matrix_dominates_all():
     """A closure is irreducible iff it has one component, one maximal matrix."""
     seen = set()
     for s in sweep_cases():

@@ -14,6 +14,7 @@ from rankfn import (
     enumerate_sol,
     partitions_of,
 )
+from rankfn import oracle
 from rankfn.oracle import (
     ExactMatrix,
     _basis,
@@ -42,6 +43,13 @@ def _unit(strict_lower):
     return [row + [1] + [0] * (n - i - 1) for i, row in enumerate(strict_lower)]
 
 
+def _textbook_u(seed, n):
+    """L K^T as a Fraction product, from the seed's two _unit_lower draws."""
+    rng = random.Random(seed)
+    low, k = _unit(_unit_lower(rng, n)), _unit(_unit_lower(rng, n))
+    return frac_matmul(low, list(zip(*k)))
+
+
 @pytest.mark.parametrize("n", CONJUGATE_SIZES)
 def test_unimodular_draw_is_exactly_inverted(n):
     """U is L K^T for the seed's two unit lower triangular draws, has
@@ -49,30 +57,58 @@ def test_unimodular_draw_is_exactly_inverted(n):
     the same U."""
     for seed in CONJUGATE_SEEDS:
         u = _unimodular(random.Random(seed), n)
-        rng = random.Random(seed)
-        low, k = _unit(_unit_lower(rng, n)), _unit(_unit_lower(rng, n))
-        assert u == frac_matmul(low, list(zip(*k)))
+        assert u == _textbook_u(seed, n)
         assert frac_det(u) == 1
         assert all(e.denominator == 1 for row in frac_inverse(u) for e in row)
         assert _unimodular(random.Random(seed), n) == u
 
 
+def _conjugate_inputs(rng, n, seed):
+    """A dense matrix and two Jordan matrices of size n, the second with a
+    q-block when n > 0: Jordan rows outside the q-block hold at most one
+    nonzero entry."""
+    q = rng.randint(1, min(3, n)) if n else 0
+    jordan = (jordan_matrix(rng.choice(list(partitions_of(n))), seed=seed).rows,
+              jordan_matrix(rng.choice(list(partitions_of(n - q))), q, seed=seed).rows)
+    return (_ints(rng, n, n), *jordan)
+
+
 @pytest.mark.parametrize("n", CONJUGATE_SIZES)
 def test_random_conjugate_is_textbook_conjugate(n):
-    """random_conjugate against U^-1 M U with the textbook Fraction inverse,
-    on dense matrices and on Jordan matrices, whose rows outside the q-block
-    hold at most one nonzero entry."""
+    """random_conjugate against U^-1 M U with the textbook Fraction inverse
+    of U = L K^T, multiplied out from the seed's draws, on dense matrices and
+    on Jordan matrices."""
     rng = random.Random(n)
     for seed in CONJUGATE_SEEDS:
-        q = rng.randint(1, min(3, n)) if n else 0
-        jordan = (jordan_matrix(rng.choice(list(partitions_of(n))), seed=seed),
-                  jordan_matrix(rng.choice(list(partitions_of(n - q))), q, seed=seed))
-        u = _unimodular(random.Random(seed), n)
+        u = _textbook_u(seed, n)
         u_inv = frac_inverse(u)
-        for m in (_ints(rng, n, n), *(j.rows for j in jordan)):
+        for m in _conjugate_inputs(rng, n, seed):
             want = frac_matmul(frac_matmul(u_inv, m), u)
             got = random_conjugate(ExactMatrix(m), seed=seed)
             assert got.rows == tuple(map(tuple, want)), (m, seed)
+
+
+def test_conjugation_runs_no_elimination_and_no_product(monkeypatch):
+    """random_conjugate and the q-block of jordan_matrix are row and column
+    operations only: with the elimination and the matrix product made to
+    raise, each returns the rows it returns unpatched."""
+    rng = random.Random(25)
+    cases = [(ExactMatrix(m), seed) for n in CONJUGATE_SIZES for seed in CONJUGATE_SEEDS
+             for m in _conjugate_inputs(rng, n, seed)]
+    blocks = [(p, q, seed) for n in range(4) for p in partitions_of(n) for q in (1, 2, 3)
+              for seed in CONJUGATE_SEEDS]
+    conjugates = [random_conjugate(m, seed=seed) for m, seed in cases]
+    jordans = [jordan_matrix(p, q, seed=seed) for p, q, seed in blocks]
+
+    def refuse(*args):
+        raise AssertionError("conjugation ran an elimination or a matrix product")
+
+    monkeypatch.setattr(oracle, "_reduce", refuse)
+    monkeypatch.setattr(oracle, "_int_matmul", refuse)
+    assert [random_conjugate(m, seed=seed) for m, seed in cases] == conjugates
+    assert [jordan_matrix(p, q, seed=seed) for p, q, seed in blocks] == jordans
+    with pytest.raises(AssertionError):
+        exact_rank(conjugates[-1])  # the patch does reach the oracle's own calls
 
 
 def test_jordan_matrix_literal_entries():
