@@ -22,15 +22,16 @@ def main():
 
     print(f"{'n':>4} {'tuples':>7} {'capacity':>9} {'bound':>7}  dominating tuple")
     for n in range(2, args.max_n + 1):
-        s = enumerate_sol(n, args.k, ConvexTable.identity(n))
-        cap = sol_capacity(s)
-        if not s.lhs:
+        f = ConvexTable.identity(n)
+        tuples = len(enumerate_sol(n, args.k, f).lhs)
+        cap = sol_capacity(n, args.k, f)
+        if not tuples:
             print(f"{n:>4} {0:>7} {'-inf':>9} {'':>7}  (no solutions)")
             continue
-        parts = dominating_tuple(s)
+        parts = dominating_tuple(n, args.k, f)
         desc = "  ".join(str(p) for p in parts)
         flag = " full-block" if all(len(p.parts) == 1 for p in parts) else ""
-        print(f"{n:>4} {len(s.lhs):>7} {str(cap):>9} "
+        print(f"{n:>4} {tuples:>7} {str(cap):>9} "
               f"{str(capacity_upper_bound(parts)):>7}  {desc}{flag}")
 
 

@@ -172,10 +172,15 @@ def _cmd_search(args) -> str:
     })
 
 
-def _sol_set(args) -> geometry.SolSet:
+def _equation(args) -> tuple[int, int, ConvexTable, int]:
+    """(n, k, f, budget) of a solution-set verb, its size checked first."""
     _check_size(args.n)
-    f = _parse_table(args.f, args.n, convex=True)
-    return geometry.enumerate_sol(args.n, args.k, f, budget=args.budget)
+    return args.n, args.k, _parse_table(args.f, args.n, convex=True), args.budget
+
+
+def _sol_set(args) -> geometry.SolSet:
+    n, k, f, budget = _equation(args)
+    return geometry.enumerate_sol(n, k, f, budget=budget)
 
 
 def _cmd_enumerate(args) -> str:
@@ -204,11 +209,11 @@ def _cmd_components(args) -> str:
 
 
 def _cmd_capacity(args) -> str:
-    return _dumps({"capacity": str(geometry.sol_capacity(_sol_set(args)))})
+    return _dumps({"capacity": str(geometry.sol_capacity(*_equation(args)))})
 
 
 def _cmd_dominating_tuple(args) -> str:
-    parts = geometry.dominating_tuple(_sol_set(args))
+    parts = geometry.dominating_tuple(*_equation(args))
     return _dumps({
         "partitions": [list(p.parts) for p in parts],
         "full_block": [len(p.parts) == 1 for p in parts],

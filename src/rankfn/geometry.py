@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import le
+from operator import add, itemgetter, le, sub
 from typing import Iterator, Sequence
 
 from .core import (
@@ -139,6 +139,28 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
     (see ``_cost_classes``) before any partition is listed, and a request
     over the budget is refused then.
     """
+    least, classes = _kept_classes(n, k, f, budget)
+    cand = sorted(((parts, cost) for cost, a, m, _ in classes
+                   for parts in _class_members(n, a, m)), reverse=True)
+    cand = [(Partition(parts), cost) for parts, cost in cand]  # descending: popped ascending
+    feasible: list[tuple[Partition, ...]] = []
+    stack: list[tuple[tuple[Partition, ...], int]] = [((), 0)]
+    while stack:  # k can exceed the recursion limit
+        prefix, spent = stack.pop()
+        if len(prefix) == k:
+            feasible.append(prefix)
+            continue
+        slack = n - spent - (k - len(prefix) - 1) * least
+        stack.extend((prefix + (p,), spent + c) for p, c in cand if c <= slack)
+    return SolSet(n=n, k=k, f=f, lhs=tuple(feasible))
+
+
+def _kept_classes(n: int, k: int, f: ConvexTable,
+                  budget: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Check the equation's arguments, count the walk's visits exactly and
+    refuse a request over the budget; then return 2 f(1), the cost of
+    (2, 1, ..., 1), and the kept cost classes (see ``_cost_classes``) by
+    increasing cost.  No partition is listed."""
     if n < 2:
         raise ValueError(f"matrix size must be at least 2: n = {n}")
     if k < 1:
@@ -162,19 +184,7 @@ def enumerate_sol(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET) 
         if visits > budget:
             raise BudgetExceeded(f"enumeration visited more than {budget} states")
         layer = below
-    cand = sorted(((parts, cost) for cost, a, m, _ in classes
-                   for parts in _class_members(n, a, m)), reverse=True)
-    cand = [(Partition(parts), cost) for parts, cost in cand]  # descending: popped ascending
-    feasible: list[tuple[Partition, ...]] = []
-    stack: list[tuple[tuple[Partition, ...], int]] = [((), 0)]
-    while stack:  # k can exceed the recursion limit
-        prefix, spent = stack.pop()
-        if len(prefix) == k:
-            feasible.append(prefix)
-            continue
-        slack = n - spent - (k - len(prefix) - 1) * least
-        stack.extend((prefix + (p,), spent + c) for p, c in cand if c <= slack)
-    return SolSet(n=n, k=k, f=f, lhs=tuple(feasible))
+    return least, classes
 
 
 def _cost_classes(n: int, room: int, f: ConvexTable,
@@ -216,6 +226,17 @@ def _class_members(n: int, a: int, m: int) -> Iterator[tuple[int, ...]]:
         yield (*(2 + sum(x >= j for x in rho) for j in range(1, m + 1)), *(1,) * (n - a - m))
 
 
+def _class_rows(n: int, a: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Rank rows (n, r(1), ..., r(n)) of the same members, in the same
+    order: the rank drops r(j - 1) - r(j) are the conjugate parts
+    n - a, m, *rho, so no partition is built or checked."""
+    for rho in _partition_tuples(a - m, m):
+        row = [n, a, a - m]
+        for x in rho:
+            row.append(row[-1] - x)
+        yield (*row, *(0,) * (n + 1 - len(row)))
+
+
 def maximal_elements(s: SolSet) -> list[RankMatrix]:
     """Rank matrices not strictly below any other one in the set, in set order.
 
@@ -240,18 +261,6 @@ def maximal_elements(s: SolSet) -> list[RankMatrix]:
     return [RankMatrix((*rm.rows, RankFunction(
                 _f_sum(s.n, [_f_image(s.f, row.values) for row in rm.rows]))))
             for rm, keep in zip(left, is_max) if keep]
-
-
-def _row_table(s: SolSet) -> tuple[dict[Partition, tuple[int, ...]], list[tuple[int, ...]]]:
-    """The rank row of each distinct left-hand partition, and B's row for
-    every solution in ``s.lhs`` order.
-
-    Each distinct partition is ranked once and its f-image taken once; B's
-    row is the f-sum of its solution's cached images.
-    """
-    rows = {p: partition_to_rank(p).values for p in {p for lhs in s.lhs for p in lhs}}
-    images = {p: _f_image(s.f, row) for p, row in rows.items()}
-    return rows, [_f_sum(s.n, [images[p] for p in lhs]) for lhs in s.lhs]
 
 
 def irreducible_components(s: SolSet) -> list[tuple[RankMatrix, int]]:
@@ -288,35 +297,153 @@ def components_capacity(dims: Sequence[int]) -> Fraction | float:
     return Fraction(max(dims), 2) if dims else float("-inf")
 
 
-def sol_capacity(s: SolSet) -> Fraction | float:
-    """Largest linear subspace dimension inside the solution-set closure:
-    the best component capacity as a Fraction, or float -inf for an empty
-    set.  ``str`` prints either as the CLI does.
+def _candidate_table(n: int, k: int, f: ConvexTable, budget: int) -> tuple | None:
+    """The kept candidates, each ranked once, measured against the cheapest
+    partition (2, 1, ..., 1); None for an empty solution set.
 
-    Orbit dimension grows strictly along the dominance order, so a solution
-    below a maximal rank matrix has a smaller dimension than that maximum,
-    and the best component dimension is the best dimension of any solution.
-    No maxima are found: each solution's dimension is read off its rows.
+    (2, 1, ..., 1) can fill every coordinate but one, so every kept
+    candidate is used at every coordinate; what binds is only the other
+    candidates' excess costs, cost - 2 f(1) >= 1, which together fit in
+    s = n - 2 k f(1).  Returns s, the base row of (2, 1, ..., 1), the join
+    of all candidate rows, the base's f-image, and (row, excess, gain) for
+    each other candidate, whose gain is its f-image minus the base's.  Every
+    candidate dominates the base, so each gain is >= 0.  Images stop at the
+    first power where the join, and so every row and every B row, is zero.
     """
-    rows, rhs_rows = _row_table(s)
-    dims = {p: _row_orbit_dimension(row) for p, row in rows.items()}
-    return components_capacity([sum(dims[p] for p in lhs) + _row_orbit_dimension(rhs)
-                                for lhs, rhs in zip(s.lhs, rhs_rows)])
+    least, classes = _kept_classes(n, k, f, budget)
+    if not classes:
+        return None
+    cands = [(cost - least, row) for cost, a, m, _ in classes for row in _class_rows(n, a, m)]
+    (_, base), others = cands[0], cands[1:]  # by cost: (2, 1, ..., 1) first
+    join = tuple(map(max, zip(*(row for _, row in cands))))
+    width = join.index(0)
+    base_image = _f_image(f, base[:width])
+    return n - k * least, base, join, base_image, [
+        (row, excess, tuple(map(sub, _f_image(f, row[:width]), base_image)))
+        for excess, row in others]
 
 
-def dominating_tuple(s: SolSet) -> tuple[Partition, ...]:
-    """Least coordinatewise upper bound of the set's rank matrices: the
-    pointwise maximum of the rank functions at each coordinate, the join of
-    the whole set.  A left-hand coordinate joins the distinct partitions
-    used there, and B's coordinate joins every solution's B row.  The max of
-    valid rank functions is again one, so each coordinate names a
-    partition."""
-    if not s.lhs:
+def _knapsack(best_at: dict[int, tuple[int, ...]], s: int, j: int,
+              zero: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """table[i][e] for i = 0..j, e = 0..s: the entrywise largest sum of at
+    most i vectors, repeats allowed, whose excesses total at most e.
+    ``best_at`` maps each excess in 1..s to the entrywise best vector of
+    that excess (Martello and Toth, Knapsack Problems, 1990).  Entries
+    are >= 0, so table[i][e] grows with i and e; ``zero`` is the empty sum."""
+    steps = sorted(best_at.items())
+    table = [[zero] * (s + 1)]
+    while len(table) <= j:
+        last = table[-1]
+        layer = []
+        for e, top in enumerate(last):
+            for x, vec in steps:
+                if x > e:
+                    break
+                top = tuple(map(max, top, map(add, last[e - x], vec)))
+            layer.append(top)
+        if layer == last:  # one more vector helps nowhere, so no later one does
+            return table + [last] * (j + 1 - len(table))
+        table.append(layer)
+    return table
+
+
+def _rhs_join_gain(k: int, s: int, others: list, zero: tuple[int, ...]) -> tuple[int, ...]:
+    """The largest sum of the gains at each power over at most min(k, s)
+    candidates whose excesses fit in s: the f-image sum of the join of
+    every solution's B row, less k base images."""
+    best_at: dict[int, tuple[int, ...]] = {}
+    for _, excess, gain in others:
+        best_at[excess] = tuple(map(max, best_at.get(excess, gain), gain))
+    return _knapsack(best_at, s, min(k, s), zero)[-1][s]
+
+
+def _rhs_row(n: int, k: int, base_image: tuple[int, ...],
+             gain: tuple[int, ...]) -> tuple[int, ...]:
+    """B's rank row, up to its first zero, for the solution whose left-hand
+    gains sum to gain and whose other coordinates are (2, 1, ..., 1)."""
+    return (n, *(k * b + g for b, g in zip(base_image, gain)), 0)
+
+
+def sol_capacity(n: int, k: int, f: ConvexTable,
+                 budget: int = DEFAULT_BUDGET) -> Fraction | float:
+    """Largest linear subspace dimension inside the closure of the
+    solutions for (n, k, f): the best component capacity as a Fraction, or
+    float -inf for an empty set.  ``str`` prints either as the CLI does.
+    Refuses what ``enumerate_sol`` refuses, with the same errors.
+
+    Orbit dimension grows strictly along the dominance order, so the best
+    component dimension is the best dimension of any solution, and no
+    maxima are needed.  No solution is listed either.  The dimension is
+    symmetric in the left-hand coordinates, so a solution is a multiset of
+    at most min(k, s) candidates other than (2, 1, ..., 1), which fills the
+    rest.  A branch and bound (Land and Doig, Econometrica 1960) adds
+    candidates by decreasing orbit dimension and drops a prefix when even
+    its best completion cannot beat the best solution found: the left-hand
+    dimensions gain at most K[j][slack] more, a knapsack over excess cost,
+    and B lies below the join of every B row, so its dimension is at most
+    that join's.
+    """
+    table = _candidate_table(n, k, f, budget)
+    if table is None:
+        return float("-inf")
+    s, base, _, base_image, others = table
+    least = _row_orbit_dimension(base)
+    items = sorted(((_row_orbit_dimension(row) - least, excess, gain)
+                    for row, excess, gain in others), key=itemgetter(0), reverse=True)
+    best_at: dict[int, tuple[int]] = {}
+    for dim, excess, _ in items:  # the first of each excess has its largest dimension
+        best_at.setdefault(excess, (dim,))
+    more = [[top for top, in layer] for layer in _knapsack(best_at, s, min(k, s), (0,))]
+    zero = (0,) * len(base_image)
+    # every bound's part that no prefix changes: k base dimensions and B's join's
+    fixed = k * least + _row_orbit_dimension(
+        _rhs_row(n, k, base_image, _rhs_join_gain(k, s, others, zero)))
+    best = k * least + _row_orbit_dimension(_rhs_row(n, k, base_image, zero))
+    # (bound, next candidate, candidates used, excess spent, their dimension gain, their gains)
+    stack = [(fixed + more[-1][s], 0, 0, 0, 0, zero)]
+    while stack:
+        bound, first, used, spent, dims, gain = stack.pop()
+        if bound <= best:
+            continue
+        best = max(best, k * least + dims + _row_orbit_dimension(_rhs_row(n, k, base_image, gain)))
+        if used == k:
+            continue
+        slack, rest = s - spent, more[min(k - used - 1, len(more) - 1)]
+        children = []
+        for i in range(first, len(items)):
+            dim, excess, step = items[i]
+            reach = fixed + dims + dim
+            if reach + rest[slack] <= best:
+                break  # later candidates have no larger dimension
+            if excess <= slack and reach + rest[slack - excess] > best:
+                children.append((reach + rest[slack - excess], i, used + 1, spent + excess,
+                                 dims + dim, tuple(map(add, gain, step))))
+        stack.extend(reversed(children))  # popped by decreasing dimension
+    return Fraction(best, 2)
+
+
+def dominating_tuple(n: int, k: int, f: ConvexTable,
+                     budget: int = DEFAULT_BUDGET) -> tuple[Partition, ...]:
+    """Least coordinatewise upper bound of the rank matrices of the
+    solutions for (n, k, f): the pointwise maximum of the rank functions at
+    each coordinate, the join of the whole set.  Refuses what
+    ``enumerate_sol`` refuses, with the same errors, and raises ValueError
+    for an empty set.
+
+    No solution is listed.  Every kept candidate is used at every left-hand
+    coordinate, so each of those joins all their rows.  At each power, B's
+    join is k base images plus the largest gain sum that at most min(k, s)
+    candidates reach within the excess room s: one knapsack per power,
+    solved for all powers at once.  The max of valid rank functions is
+    again one, so each coordinate names a partition.
+    """
+    table = _candidate_table(n, k, f, budget)
+    if table is None:
         raise ValueError("empty solution set has no dominating tuple")
-    rows, rhs_rows = _row_table(s)
-    cols = [[rows[p] for p in {lhs[i] for lhs in s.lhs}] for i in range(s.k)]
-    return tuple(rank_to_partition(RankFunction(tuple(map(max, zip(*col)))))
-                 for col in (*cols, rhs_rows))
+    s, _, join, base_image, others = table
+    rhs = _rhs_row(n, k, base_image, _rhs_join_gain(k, s, others, (0,) * len(base_image)))
+    return ((rank_to_partition(RankFunction(join)),) * k
+            + (rank_to_partition(RankFunction(rhs + (0,) * (n + 1 - len(rhs)))),))
 
 
 def capacity_upper_bound(parts: Sequence[Partition]) -> Fraction:

@@ -9,7 +9,8 @@ maxima filters compare every pair of matrices entry by entry, orbit
 dimensions come from squared conjugate parts (a transpose of the Young
 diagram), not from rank drops, the enumeration's visited states are counted
 from part counts, not rank rows, and the plain-sum structure is read off
-the part lists.
+the part lists.  The capacity and the dominating tuple are read off every
+solution the walk lists, with rows summed block by block.
 """
 
 from collections import Counter
@@ -155,6 +156,44 @@ def enumeration_visits(n, k, f):
                        for c, m in costs.items() if c <= slack)
 
     return visits(0, 0)
+
+
+@lru_cache(maxsize=None)
+def rank_row_by_parts(n, parts):
+    """(r(0), ..., r(n)) of a nilpotent class, each r(m) the sum of
+    max(part - m, 0) over the blocks."""
+    return tuple(sum(max(p - m, 0) for p in parts) for m in range(n + 1))
+
+
+def parts_by_rank_row(row):
+    """Block sizes of a nilpotent rank row: r(j - 1) - r(j) blocks have
+    size >= j, so the difference of consecutive drops counts size j."""
+    drops = [a - b for a, b in zip(row, row[1:])] + [0]
+    return tuple(j for j in range(len(row) - 1, 0, -1)
+                 for _ in range(drops[j - 1] - drops[j]))
+
+
+def walk_rows(n, f, lhs):
+    """Each walked solution's rank rows, left-hand ones then B's, given its
+    left-hand partitions and the table values f: B's row at power m is the
+    sum of f at the left-hand rows."""
+    out = []
+    for tup in lhs:
+        rows = [rank_row_by_parts(n, p.parts) for p in tup]
+        out.append(rows + [(n, *(sum(f[r[m]] for r in rows) for m in range(1, n + 1)))])
+    return out
+
+
+def walk_join(n, f, lhs):
+    """The join of every walked solution's rows, coordinate by coordinate."""
+    return [tuple(max(entries) for entries in zip(*col)) for col in zip(*walk_rows(n, f, lhs))]
+
+
+def walk_best_dimension(n, f, lhs):
+    """The largest summed orbit dimension of a walked solution's classes,
+    each from squared conjugate parts, or None when there is none."""
+    return max((sum(orbit_dimension_by_conjugate(parts_by_rank_row(r)) for r in rows)
+                for rows in walk_rows(n, f, lhs)), default=None)
 
 
 def conjugate_parts(parts):

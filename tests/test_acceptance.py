@@ -103,7 +103,7 @@ def test_closed_form_component_dimensions():
 @criterion("closed-form-capacity")
 def test_closed_form_capacity():
     for k in range(1, 6):
-        cap = sol_capacity(enumerate_sol(2 * k, k, ConvexTable.identity(2 * k)))
+        cap = sol_capacity(2 * k, k, ConvexTable.identity(2 * k))
         assert cap == Fraction(3 * k * k - k)
 
 

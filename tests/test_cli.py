@@ -372,6 +372,20 @@ def test_deep_enumeration_finishes_in_a_fresh_process():
     assert json.loads(proc.stdout) == {"capacity": str(3 * 1001 ** 2 - 1001)}
 
 
+def test_deep_dominating_tuple_finishes_in_a_fresh_process():
+    """The same request for the dominating tuple: (2, 1, ..., 1) at every
+    left-hand coordinate and B = (2, ..., 2), whose bound is the capacity."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankfn", "dominating-tuple", "--n", "2002", "--k", "1001"],
+        capture_output=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert json.loads(proc.stdout) == {
+        "partitions": [[2] + [1] * 2000] * 1001 + [[2] * 1001],
+        "full_block": [False] * 1002,
+        "capacity_upper_bound": str(3 * 1001 ** 2 - 1001),
+    }
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["search", "--n", "4000000", "--k", "1"], id="search"),
     pytest.param(["solve", "--n", "4000000", "--jp", "3999999,1"], id="solve"),

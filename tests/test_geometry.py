@@ -10,6 +10,8 @@ from helpers import (
     enumeration_visits,
     has_greatest,
     orbit_dimension_by_conjugate,
+    walk_best_dimension,
+    walk_join,
 )
 
 from rankfn import (
@@ -210,14 +212,12 @@ def test_enumerate_sol_rank_matrices_faithful():
 
 
 def test_geometry_reads_left_hand_tuples_only():
-    """Components, capacity and the dominating tuple leave the solution
-    tuples and full rank matrices unbuilt; built later, they follow lhs."""
+    """Components leave the solution tuples and full rank matrices unbuilt;
+    built later, they follow lhs."""
     for n, k, f in [(7, 2, ConvexTable.identity(7)), (11, 4, ConvexTable.identity(11)),
                     (12, 3, ConvexTable.identity(12)), (12, 3, ConvexTable.squares(12))]:
         s = enumerate_sol(n, k, f)
         irreducible_components(s)
-        sol_capacity(s)
-        dominating_tuple(s)
         assert "tuples" not in vars(s) and "rank_matrices" not in vars(s)
         assert len(s.tuples) == len(s.lhs)
         for i, t in enumerate(s.tuples):
@@ -276,20 +276,24 @@ def triangular(n):
     return ConvexTable(tuple(i * (i + 1) // 2 for i in range(n + 1)))
 
 
-def sweep_cases():
-    """Enumerated sets for n = 4..9, k = 1..3, f = id, square and
-    triangular, each with a few seeded random subsets of its left-hand
-    tuples (the empty one included)."""
-    rng = random.Random(4)
+def full_sets():
+    """Enumerated sets for n = 4..9, k = 1..3, f = id, square and triangular."""
     for n in range(4, 10):
         for k in range(1, 4):
             for f in (ConvexTable.identity(n), ConvexTable.squares(n), triangular(n)):
-                s = enumerate_sol(n, k, f)
-                yield s
-                lhs = list(s.lhs)
-                for size in (0, min(1, len(lhs)), len(lhs) // 2):
-                    sub = tuple(sorted(rng.sample(lhs, size), key=lhs.index))
-                    yield SolSet(n=n, k=k, f=f, lhs=sub)
+                yield enumerate_sol(n, k, f)
+
+
+def sweep_cases():
+    """The full sets, each with a few seeded random subsets of its left-hand
+    tuples (the empty one included)."""
+    rng = random.Random(4)
+    for s in full_sets():
+        yield s
+        lhs = list(s.lhs)
+        for size in (0, min(1, len(lhs)), len(lhs) // 2):
+            sub = tuple(sorted(rng.sample(lhs, size), key=lhs.index))
+            yield SolSet(n=s.n, k=s.k, f=s.f, lhs=sub)
 
 
 def plain_rows(s):
@@ -343,7 +347,7 @@ def test_component_maxima_round_trip():
 def test_empty_solution_set_has_no_components():
     s = enumerate_sol(2, 2, ConvexTable.identity(2))
     assert irreducible_components(s) == []
-    assert sol_capacity(s) == float("-inf")
+    assert sol_capacity(2, 2, ConvexTable.identity(2)) == float("-inf")
 
 
 # ---------------------------------------------------------------- dimensions
@@ -399,19 +403,19 @@ def test_component_dimension_refuses_a_non_nilpotent_row():
 
 
 def test_sol_capacity_frozen_small_cases():
-    assert sol_capacity(enumerate_sol(4, 2, ConvexTable.identity(4))) == Fraction(10)
-    assert sol_capacity(enumerate_sol(5, 2, ConvexTable.identity(5))) == Fraction(19)
+    assert sol_capacity(4, 2, ConvexTable.identity(4)) == Fraction(10)
+    assert sol_capacity(5, 2, ConvexTable.identity(5)) == Fraction(19)
 
 
 def test_sol_capacity_equals_the_best_component_capacity():
-    """sol_capacity reads every solution's dimension and finds no maxima;
-    it agrees with the best dimension of the components."""
+    """sol_capacity finds no maxima; it agrees with the best dimension of
+    the components of the full set."""
     empty = 0
-    for s in sweep_cases():
+    for s in full_sets():
         dims = [dim for _, dim in irreducible_components(s)]
-        assert sol_capacity(s) == components_capacity(dims)
+        assert sol_capacity(s.n, s.k, s.f) == components_capacity(dims)
         if not s.lhs:
-            assert sol_capacity(s) == float("-inf")
+            assert sol_capacity(s.n, s.k, s.f) == float("-inf")
             empty += 1
     assert empty > 0
 
@@ -419,16 +423,66 @@ def test_sol_capacity_equals_the_best_component_capacity():
 @pytest.mark.parametrize("f", [ConvexTable.identity(12), ConvexTable.squares(12)],
                          ids=["id", "square"])
 def test_capacity_and_dominating_tuple_find_no_maxima(f, monkeypatch):
+    """Neither finds maxima nor lists a solution: both answer with the
+    walk, its solution sets and the maxima sweep made to raise."""
     s = enumerate_sol(12, 3, f)
     dims = [dim for _, dim in irreducible_components(s)]
     join = [tuple(max(entry) for entry in zip(*col)) for col in zip(*plain_rows(s))]
 
-    def no_maxima(s):
-        raise AssertionError("maximal elements were computed")
+    def refuse(*args, **kwargs):
+        raise AssertionError("solutions or maxima were listed")
 
-    monkeypatch.setattr(geometry, "maximal_elements", no_maxima)
-    assert sol_capacity(s) == components_capacity(dims)
-    assert [partition_to_rank(p).values for p in dominating_tuple(s)] == join
+    for name in ("maximal_elements", "enumerate_sol", "SolSet"):
+        monkeypatch.setattr(geometry, name, refuse)
+    assert sol_capacity(12, 3, f) == components_capacity(dims)
+    assert [partition_to_rank(p).values for p in dominating_tuple(12, 3, f)] == join
+
+
+def grid():
+    """(n, k, f) for n = 2..16, k <= n // 2 + 1 and f = id, square and
+    triangular: 237 equations, 45 of them with no solution."""
+    for n in range(2, 17):
+        for k in range(1, n // 2 + 2):
+            for f in (ConvexTable.identity(n), ConvexTable.squares(n), triangular(n)):
+                yield n, k, f
+
+
+def test_capacity_and_dominating_tuple_match_the_walk():
+    """Against every solution the walk lists: the best summed orbit
+    dimension, and the join of the rows with B's summed block by block."""
+    empty = 0
+    for n, k, f in grid():
+        lhs = enumerate_sol(n, k, f).lhs
+        best = walk_best_dimension(n, f.values, lhs)
+        if best is None:
+            assert sol_capacity(n, k, f) == float("-inf")
+            with pytest.raises(ValueError, match="^empty solution set has no dominating tuple$"):
+                dominating_tuple(n, k, f)
+            empty += 1
+            continue
+        assert sol_capacity(n, k, f) == Fraction(best, 2), (n, k, f)
+        assert [partition_to_rank(p).values for p in dominating_tuple(n, k, f)] == walk_join(
+            n, f.values, lhs), (n, k, f)
+    assert empty == 45
+
+
+def test_capacity_and_dominating_tuple_budget_boundary():
+    """The walk's visited states, counted as for enumerate_sol: exactly
+    that budget answers and one less is refused with the same message,
+    though neither function walks."""
+    for n in range(2, 15):
+        for values in (range(n + 1), [i * i for i in range(n + 1)],
+                       [i * (i + 1) // 2 for i in range(n + 1)],
+                       [2 ** i - 1 for i in range(n + 1)]):
+            f = ConvexTable(tuple(values))
+            for k in range(1, n // 2 + 2):
+                visits = enumeration_visits(n, k, f.values)
+                if sol_capacity(n, k, f, budget=visits) != float("-inf"):
+                    dominating_tuple(n, k, f, budget=visits)
+                for fn in (sol_capacity, dominating_tuple):
+                    with pytest.raises(BudgetExceeded,
+                                       match=f"^enumeration visited more than {visits - 1} states$"):
+                        fn(n, k, f, budget=visits - 1)
 
 
 def test_orbit_dimension_grows_strictly_along_dominance():
@@ -451,30 +505,30 @@ def test_capacity_is_the_best_of_unequal_components():
     s = enumerate_sol(9, 2, ConvexTable.identity(9))
     dims = [dim for _, dim in irreducible_components(s)]
     assert sorted(set(dims)) == [150, 156, 158]
-    assert components_capacity(dims) == sol_capacity(s) == Fraction(79)
+    assert components_capacity(dims) == sol_capacity(9, 2, ConvexTable.identity(9)) == Fraction(79)
     assert components_capacity([]) == float("-inf")
 
 
 # ---------------------------------------------------------------- bounds
 
 def test_dominating_tuple_worked_example():
-    s = enumerate_sol(5, 2, ConvexTable.identity(5))
-    parts = dominating_tuple(s)
+    f = ConvexTable.identity(5)
+    parts = dominating_tuple(5, 2, f)
     assert [p.parts for p in parts] == [(3, 1, 1), (3, 1, 1), (3, 2)]
     # orbit dimensions 14, 14 and 16
     assert capacity_upper_bound(parts) == Fraction(22)
-    assert capacity_upper_bound(parts) >= sol_capacity(s)
+    assert capacity_upper_bound(parts) >= sol_capacity(5, 2, f)
 
 
 def test_dominating_tuple_is_least_upper_bound():
     """The dominating tuple's rows are the join of every rank matrix of the
-    set, and no smaller partition bounds a coordinate."""
-    for s in sweep_cases():
+    full set, and no smaller partition bounds a coordinate."""
+    for s in full_sets():
         if not s.lhs:
             with pytest.raises(ValueError):
-                dominating_tuple(s)
+                dominating_tuple(s.n, s.k, s.f)
             continue
-        parts = dominating_tuple(s)
+        parts = dominating_tuple(s.n, s.k, s.f)
         join = [tuple(max(entry) for entry in zip(*col)) for col in zip(*plain_rows(s))]
         assert [partition_to_rank(p).values for p in parts] == join
         every = [partition_to_rank(c) for c in partitions_of(s.n)]
@@ -486,15 +540,15 @@ def test_dominating_tuple_is_least_upper_bound():
 
 
 def test_dominating_tuple_full_block_flag():
-    s = enumerate_sol(4, 1, ConvexTable.identity(4))
-    assert [p.parts for p in dominating_tuple(s)] == [(4,), (4,)]
+    parts = dominating_tuple(4, 1, ConvexTable.identity(4))
+    assert [p.parts for p in parts] == [(4,), (4,)]
     # each full-block orbit has dimension n^2 - n = 12
-    assert capacity_upper_bound(dominating_tuple(s)) == Fraction(12)
+    assert capacity_upper_bound(parts) == Fraction(12)
 
 
 def test_dominating_tuple_empty_raises():
     with pytest.raises(ValueError):
-        dominating_tuple(enumerate_sol(2, 2, ConvexTable.identity(2)))
+        dominating_tuple(2, 2, ConvexTable.identity(2))
 
 
 # ---------------------------------------------------------------- hasse
