@@ -7,7 +7,6 @@ import argparse
 
 from rankfn import (
     ConvexTable,
-    capacity_upper_bound,
     dominating_tuple,
     enumerate_sol,
     sol_capacity,
@@ -28,11 +27,11 @@ def main():
         if not tuples:
             print(f"{n:>4} {0:>7} {'-inf':>9} {'':>7}  (no solutions)")
             continue
-        parts = dominating_tuple(n, args.k, f)
+        parts, bound = dominating_tuple(n, args.k, f)
         desc = "  ".join(str(p) for p in parts)
         flag = " full-block" if all(len(p.parts) == 1 for p in parts) else ""
         print(f"{n:>4} {tuples:>7} {str(cap):>9} "
-              f"{str(capacity_upper_bound(parts)):>7}  {desc}{flag}")
+              f"{str(bound):>7}  {desc}{flag}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import geometry
@@ -203,7 +202,8 @@ def _cmd_components(args) -> str:
         "capacity": str(geometry.components_capacity(dims)),
         "irreducible": len(comps) == 1,
         "components": [
-            {"max_rm": _rm_json(rm), "dimension": dim, "capacity": str(Fraction(dim, 2))}
+            {"max_rm": _rm_json(rm), "dimension": dim,
+             "capacity": str(geometry.components_capacity([dim]))}
             for rm, dim in comps],
     })
 
@@ -213,11 +213,11 @@ def _cmd_capacity(args) -> str:
 
 
 def _cmd_dominating_tuple(args) -> str:
-    parts = geometry.dominating_tuple(*_equation(args))
+    parts, bound = geometry.dominating_tuple(*_equation(args))
     return _dumps({
         "partitions": [list(p.parts) for p in parts],
         "full_block": [len(p.parts) == 1 for p in parts],
-        "capacity_upper_bound": str(geometry.capacity_upper_bound(parts)),
+        "capacity_upper_bound": str(bound),
     })
 
 

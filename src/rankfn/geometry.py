@@ -45,12 +45,10 @@ __all__ = [
     "enumerate_sol",
     "maximal_elements",
     "irreducible_components",
-    "orbit_dimension",
     "component_dimension",
     "components_capacity",
     "sol_capacity",
     "dominating_tuple",
-    "capacity_upper_bound",
     "hasse_dot",
 ]
 
@@ -276,11 +274,6 @@ def _row_orbit_dimension(v: tuple[int, ...]) -> int:
     return v[0] ** 2 - sum((a - b) ** 2 for a, b in zip(v, v[1:]))
 
 
-def orbit_dimension(p: Partition) -> int:
-    """Dimension of the conjugation orbit of a nilpotent class."""
-    return _row_orbit_dimension(partition_to_rank(p).values)
-
-
 def component_dimension(rm: RankMatrix) -> int:
     """Sum of the rows' orbit dimensions (a product of orbit closures).
     Raises InvalidRankFunction for a row of nonzero stable rank."""
@@ -292,8 +285,9 @@ def component_dimension(rm: RankMatrix) -> int:
 
 
 def components_capacity(dims: Sequence[int]) -> Fraction | float:
-    """The best capacity among components of these dimensions: a Fraction,
-    or float -inf (the supremum of the empty set) when there are none."""
+    """The best capacity among components of these dimensions, half the
+    largest: a Fraction, or float -inf (the supremum of the empty set) when
+    there are none."""
     return Fraction(max(dims), 2) if dims else float("-inf")
 
 
@@ -385,7 +379,7 @@ def sol_capacity(n: int, k: int, f: ConvexTable,
     """
     table = _candidate_table(n, k, f, budget)
     if table is None:
-        return float("-inf")
+        return components_capacity([])
     s, base, _, base_image, others = table
     least = _row_orbit_dimension(base)
     items = sorted(((_row_orbit_dimension(row) - least, excess, gain)
@@ -419,14 +413,16 @@ def sol_capacity(n: int, k: int, f: ConvexTable,
                 children.append((reach + rest[slack - excess], i, used + 1, spent + excess,
                                  dims + dim, tuple(map(add, gain, step))))
         stack.extend(reversed(children))  # popped by decreasing dimension
-    return Fraction(best, 2)
+    return components_capacity([best])
 
 
-def dominating_tuple(n: int, k: int, f: ConvexTable,
-                     budget: int = DEFAULT_BUDGET) -> tuple[Partition, ...]:
+def dominating_tuple(n: int, k: int, f: ConvexTable, budget: int = DEFAULT_BUDGET
+                     ) -> tuple[tuple[Partition, ...], Fraction]:
     """Least coordinatewise upper bound of the rank matrices of the
-    solutions for (n, k, f): the pointwise maximum of the rank functions at
-    each coordinate, the join of the whole set.  Refuses what
+    solutions for (n, k, f), the join of the whole set, with its capacity
+    bound: the partition at each coordinate, whose rank function is the
+    pointwise maximum there, and half the summed orbit dimensions of those
+    partitions, which no component's capacity exceeds.  Refuses what
     ``enumerate_sol`` refuses, with the same errors, and raises ValueError
     for an empty set.
 
@@ -435,21 +431,18 @@ def dominating_tuple(n: int, k: int, f: ConvexTable,
     join is k base images plus the largest gain sum that at most min(k, s)
     candidates reach within the excess room s: one knapsack per power,
     solved for all powers at once.  The max of valid rank functions is
-    again one, so each coordinate names a partition.
+    again one, so each coordinate names a partition, and the bound is read
+    off the two rows.
     """
     table = _candidate_table(n, k, f, budget)
     if table is None:
         raise ValueError("empty solution set has no dominating tuple")
     s, _, join, base_image, others = table
     rhs = _rhs_row(n, k, base_image, _rhs_join_gain(k, s, others, (0,) * len(base_image)))
-    return ((rank_to_partition(RankFunction(join)),) * k
-            + (rank_to_partition(RankFunction(rhs + (0,) * (n + 1 - len(rhs)))),))
-
-
-def capacity_upper_bound(parts: Sequence[Partition]) -> Fraction:
-    """Half the summed orbit dimensions of a dominating tuple; caps the
-    solution-set capacity."""
-    return Fraction(sum(orbit_dimension(p) for p in parts), 2)
+    rhs += (0,) * (n + 1 - len(rhs))
+    parts = ((rank_to_partition(RankFunction(join)),) * k
+             + (rank_to_partition(RankFunction(rhs)),))
+    return parts, components_capacity([k * _row_orbit_dimension(join) + _row_orbit_dimension(rhs)])
 
 
 def _covers(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -485,13 +478,12 @@ def hasse_dot(n: int) -> str:
     if n > HASSE_MAX_N:
         raise BudgetExceeded(
             f"the partitions of n = {n} exceed the n <= {HASSE_MAX_N} cap")
-    parts = list(_partition_tuples(n, n))  # descending lexicographic order
-    index = {p: i for i, p in enumerate(parts)}
-    labels = [",".join(map(str, p)) for p in parts]
+    # nodes, and each node's edges, in descending lexicographic order
+    labels = {p: ",".join(map(str, p)) for p in _partition_tuples(n, n)}
     lines = [f"digraph dominance_{n} {{", "  rankdir=BT;"]
-    lines += [f'  "{label}";' for label in labels]
-    for p, label in zip(parts, labels):
-        for j in sorted(index[mu] for mu in _covers(p)):
-            lines.append(f'  "{label}" -> "{labels[j]}";')
+    lines += [f'  "{label}";' for label in labels.values()]
+    for p, label in labels.items():
+        for mu in sorted(_covers(p), reverse=True):
+            lines.append(f'  "{label}" -> "{labels[mu]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,6 @@ from rankfn import (
     RankFunction,
     cli,
     geometry,
-    orbit_dimension,
     rank_to_partition,
 )
 from rankfn.cli import main
@@ -168,7 +167,7 @@ def test_dominating_tuple_derives_full_block_flags(capsys):
             parts = [Partition(tuple(p)) for p in doc["partitions"]]
             assert doc["full_block"] == [len(p.parts) == 1 for p in parts]
             assert doc["capacity_upper_bound"] == str(
-                Fraction(sum(orbit_dimension(p) for p in parts), 2))
+                Fraction(sum(orbit_dimension_by_conjugate(p.parts) for p in parts), 2))
             flags.update(doc["full_block"])
     assert flags == {True, False}
 

@@ -24,7 +24,6 @@ from rankfn import (
     Partition,
     RankMatrix,
     SolutionTuple,
-    capacity_upper_bound,
     check_solution,
     class_rank,
     component_dimension,
@@ -36,7 +35,6 @@ from rankfn import (
     irreducible_components,
     maximal_elements,
     nontrivial_blocks,
-    orbit_dimension,
     partition_to_rank,
     partitions_of,
     rank_matrix,
@@ -352,6 +350,11 @@ def test_empty_solution_set_has_no_components():
 
 # ---------------------------------------------------------------- dimensions
 
+def orbit_dimension(p):
+    """The orbit dimension of one class: the dimension of its one-row matrix."""
+    return component_dimension(RankMatrix((partition_to_rank(p),)))
+
+
 def test_orbit_dimension_closed_forms():
     for k in range(1, 6):
         near_zero = Partition((2,) + (1,) * (2 * k - 2))
@@ -435,7 +438,8 @@ def test_capacity_and_dominating_tuple_find_no_maxima(f, monkeypatch):
     for name in ("maximal_elements", "enumerate_sol", "SolSet"):
         monkeypatch.setattr(geometry, name, refuse)
     assert sol_capacity(12, 3, f) == components_capacity(dims)
-    assert [partition_to_rank(p).values for p in dominating_tuple(12, 3, f)] == join
+    parts, _ = dominating_tuple(12, 3, f)
+    assert [partition_to_rank(p).values for p in parts] == join
 
 
 def grid():
@@ -461,8 +465,11 @@ def test_capacity_and_dominating_tuple_match_the_walk():
             empty += 1
             continue
         assert sol_capacity(n, k, f) == Fraction(best, 2), (n, k, f)
-        assert [partition_to_rank(p).values for p in dominating_tuple(n, k, f)] == walk_join(
+        parts, bound = dominating_tuple(n, k, f)
+        assert [partition_to_rank(p).values for p in parts] == walk_join(
             n, f.values, lhs), (n, k, f)
+        assert bound == Fraction(
+            sum(orbit_dimension_by_conjugate(p.parts) for p in parts), 2), (n, k, f)
     assert empty == 45
 
 
@@ -513,11 +520,11 @@ def test_capacity_is_the_best_of_unequal_components():
 
 def test_dominating_tuple_worked_example():
     f = ConvexTable.identity(5)
-    parts = dominating_tuple(5, 2, f)
+    parts, bound = dominating_tuple(5, 2, f)
     assert [p.parts for p in parts] == [(3, 1, 1), (3, 1, 1), (3, 2)]
     # orbit dimensions 14, 14 and 16
-    assert capacity_upper_bound(parts) == Fraction(22)
-    assert capacity_upper_bound(parts) >= sol_capacity(5, 2, f)
+    assert bound == Fraction(22)
+    assert bound >= sol_capacity(5, 2, f)
 
 
 def test_dominating_tuple_is_least_upper_bound():
@@ -528,7 +535,8 @@ def test_dominating_tuple_is_least_upper_bound():
             with pytest.raises(ValueError):
                 dominating_tuple(s.n, s.k, s.f)
             continue
-        parts = dominating_tuple(s.n, s.k, s.f)
+        parts, bound = dominating_tuple(s.n, s.k, s.f)
+        assert bound >= sol_capacity(s.n, s.k, s.f)
         join = [tuple(max(entry) for entry in zip(*col)) for col in zip(*plain_rows(s))]
         assert [partition_to_rank(p).values for p in parts] == join
         every = [partition_to_rank(c) for c in partitions_of(s.n)]
@@ -540,10 +548,10 @@ def test_dominating_tuple_is_least_upper_bound():
 
 
 def test_dominating_tuple_full_block_flag():
-    parts = dominating_tuple(4, 1, ConvexTable.identity(4))
+    parts, bound = dominating_tuple(4, 1, ConvexTable.identity(4))
     assert [p.parts for p in parts] == [(4,), (4,)]
     # each full-block orbit has dimension n^2 - n = 12
-    assert capacity_upper_bound(parts) == Fraction(12)
+    assert bound == Fraction(12)
 
 
 def test_dominating_tuple_empty_raises():
